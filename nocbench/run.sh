@@ -2,7 +2,7 @@
 # Builds nocmapd, nocmapsh and the nocbench program from this checkout's
 # source, then runs one benchmark run:
 #
-#   bash nocbench/run.sh --workload small-distinct --seed 1 --seconds 18 --trace 0
+#   bash nocbench/run.sh --workload small-distinct --seed 1 --seconds 24 --trace 0
 #
 # Run it from the repository root. Everything it builds or writes stays
 # under $CARGO_TARGET_DIR (default .bench_build): the Go build cache, the
