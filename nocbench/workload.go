@@ -24,8 +24,6 @@ type shape struct {
 // bytes.
 type workload struct {
 	Name string
-	// Why records what the workload stresses.
-	Why string
 	// Fleet runs nocmapsh in front of two replicating backends instead
 	// of one nocmapd.
 	Fleet bool
@@ -59,21 +57,23 @@ const (
 )
 
 var workloads = []workload{
+	// tiny distinct solves: front end, queue handoff and store write path
+	// dominate; the result cache never hits
 	{
 		Name:        "small-distinct",
-		Why:         "tiny distinct solves: front end, queue handoff and store write path dominate; the result cache never hits",
 		Rate:        1000,
 		OpenShare:   0.7,
 		Shapes:      []shape{{W: 4, H: 4, Cores: 8, Flows: 6, Algorithm: "nmap-single"}},
 		PeakCap:     4000,
 		CheckSample: 256,
 	},
+	// large distinct solves: the NMAP kernels (single-path sweeps,
+	// split-traffic MCF/LP) are most of each request
 	{
 		Name: "solve-heavy",
-		Why:  "large distinct solves: the NMAP kernels (single-path sweeps, split-traffic MCF/LP) are most of each request",
 		Rate: 45,
-		// Half the run for the closed loop: its ~20 req/s per second of
-		// heavy-tailed solves needs the samples.
+		// Half the run for the closed loop: with 30% of it, peak_rps
+		// spread 0.32 over ten seeds; with half, 0.14.
 		OpenShare: 0.5,
 		Shapes: []shape{
 			{W: 8, H: 8, Cores: 64, Flows: 192, Algorithm: "nmap-single"},
@@ -82,21 +82,23 @@ var workloads = []workload{
 		PeakCap:     400,
 		CheckSample: 32,
 	},
+	// 64 primed split problems resubmitted: every request is a cache hit,
+	// so decode, hashing and encoding dominate
 	{
 		Name: "hot-repeat",
-		Why:  "64 primed split problems resubmitted: every request is a cache hit, so decode, hashing and encoding dominate",
 		Rate: 600,
-		// Half the run for the closed loop: its throughput swings with
-		// each compaction of a snapshot full of large results.
+		// Half the run for the closed loop: with 30% of it, peak_rps
+		// spread 0.19 over ten seeds; with half, 0.07.
 		OpenShare:   0.5,
 		Shapes:      []shape{{W: 4, H: 4, Cores: 16, Flows: 30, Algorithm: "nmap-split"}},
 		WorkingSet:  64,
 		PeakCap:     4000,
 		CheckSample: 256,
 	},
+	// small distinct solves through nocmapsh to two backends with
+	// durability=replicated: routing and replication acks
 	{
 		Name:        "fleet-replicated",
-		Why:         "small distinct solves through nocmapsh to two backends with durability=replicated: routing and replication acks",
 		Fleet:       true,
 		Rate:        200,
 		OpenShare:   0.7,
