@@ -197,7 +197,7 @@ func (a *analysis) layers(out *result, smp *sampled, final []serverStats, r0, r1
 
 	hop := 0.0
 	if len(direct) > 0 {
-		hop = 1000 * (median(a.tracedA) - median(latencies(afterWarmup(direct))))
+		hop = 1000 * (median(a.tracedA) - median(latencies(afterWarmup(direct, warmup))))
 	}
 	put("shard.hop.us_p50", hop)
 	put("shard.retries", float64(r1.Router.Retries-r0.Router.Retries))

@@ -220,8 +220,14 @@ func TestWindowedEstimators(t *testing.T) {
 	for i := range done {
 		done[i] = float64(i+1) / 100 // 100 per second for 3 s
 	}
-	if r := windowedRate(done, 3); r < 99.5 || r > 100.5 {
-		t.Errorf("windowedRate = %v, want 100", r)
+	rates := windowRates(done, 3)
+	if len(rates) != 6 {
+		t.Fatalf("windowRates gave %d windows over 3 s, want 6", len(rates))
+	}
+	for _, r := range rates {
+		if r < 99.5 || r > 100.5 {
+			t.Errorf("window rate %v, want 100", r)
+		}
 	}
 }
 

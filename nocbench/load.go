@@ -102,14 +102,20 @@ func openLoop(c *http.Client, urls []string, first int, bodies [][]byte, rate fl
 	return shots
 }
 
-// warmup is the start of an open-loop phase left out of its latency
-// figures: the first requests on fresh connections and a cold server.
+// warmup is the start of a run's first open-loop segment left out of
+// its latency figures: the first requests on fresh connections and a
+// cold server.
 const warmup = time.Second
 
-// afterWarmup returns the shots due after the warm-up; shots are in due
+// settle is the start of every later open-loop segment left out: the
+// server is warm, but may still be draining store work that the closed
+// segment before it left behind.
+const settle = 250 * time.Millisecond
+
+// afterWarmup returns the shots due at or after skip; shots are in due
 // order.
-func afterWarmup(shots []shot) []shot {
-	k := sort.Search(len(shots), func(i int) bool { return shots[i].Due >= warmup })
+func afterWarmup(shots []shot, skip time.Duration) []shot {
+	k := sort.Search(len(shots), func(i int) bool { return shots[i].Due >= skip })
 	return shots[k:]
 }
 
@@ -158,6 +164,47 @@ func closedLoop(c *http.Client, url string, first int, bodies [][]byte, d time.D
 	// taking one.
 	n := min(int(next.Load()), len(bodies))
 	return shots[:n], time.Since(start)
+}
+
+// roundSeconds is the length of one round of an untraced run: an
+// open-loop segment, then a closed-loop segment. Interleaving the two
+// phases spreads each over the whole run, so a stall of the shared host
+// lands in a few rounds of both instead of in all of one phase, and the
+// run reports medians over rounds.
+const roundSeconds = 4
+
+// round is one open-loop segment and the closed-loop segment after it.
+type round struct {
+	open, closed []shot
+	elapsed      time.Duration // the closed segment's
+	cpuTicks     int64         // the servers' CPU time over the open segment
+	probes       []float64     // the host probe, timed before the round
+}
+
+// runRounds splits the bodies into n rounds (at least one) and runs them
+// back to back against d. Request indices run on across rounds: open
+// bodies from 0, closed bodies from len(openBodies).
+func runRounds(c *http.Client, d *deployment, w *workload, openBodies, restBodies [][]byte, n int, restDur time.Duration) ([]round, error) {
+	n = max(n, 1)
+	rs := make([]round, n)
+	for i := range rs {
+		r := &rs[i]
+		o0, o1 := i*len(openBodies)/n, (i+1)*len(openBodies)/n
+		c0, c1 := i*len(restBodies)/n, (i+1)*len(restBodies)/n
+		r.probes = probe()
+		u0, err := d.usage()
+		if err != nil {
+			return nil, err
+		}
+		r.open = openLoop(c, []string{d.url()}, o0, openBodies[o0:o1], w.Rate, 2*time.Second)
+		u1, err := d.usage()
+		if err != nil {
+			return nil, err
+		}
+		r.cpuTicks = u1.CPUTicks - u0.CPUTicks
+		r.closed, r.elapsed = closedLoop(c, d.url(), len(openBodies)+c0, restBodies[c0:c1], restDur/time.Duration(n))
+	}
+	return rs, nil
 }
 
 // genStats describes how well the generator kept its schedule.

@@ -30,8 +30,8 @@ import (
 // reports the median and measures on the last deployment.
 const (
 	minSetups   = 3
-	maxSetups   = 5
-	setupBudget = 2 * time.Second
+	maxSetups   = 9
+	setupBudget = time.Second
 )
 
 type config struct {
@@ -117,8 +117,8 @@ func run(cfg config) (*result, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	openDur := time.Duration(w.OpenShare * cfg.seconds * float64(time.Second))
-	restDur := time.Duration((1 - w.OpenShare) * cfg.seconds * float64(time.Second))
+	openDur := time.Duration(openShare * cfg.seconds * float64(time.Second))
+	restDur := time.Duration((1 - openShare) * cfg.seconds * float64(time.Second))
 	if cfg.trace && !w.Fleet {
 		// Nothing follows a traced run's open loop except the fleet's
 		// direct pass: give the rest of the time to more samples.
@@ -186,46 +186,43 @@ func run(cfg config) (*result, error) {
 	if cfg.trace {
 		smp = startSampler(ctl, d, openDur/2)
 	}
-	u0, err := d.usage()
-	if err != nil {
-		return nil, err
-	}
 	resumeGC := pauseGC()
 	openStart := time.Since(runStart)
-	openShots := openLoop(load, []string{d.url()}, 0, openBodies, w.Rate, 2*time.Second)
-	u1, err := d.usage()
-	if err != nil {
-		return nil, err
-	}
+	var rounds []round
+	var openShots, restShots, direct []shot
+	var directBodies [][]byte
 	var traced *sampled
-	if smp != nil {
+	if !cfg.trace {
+		if rounds, err = runRounds(load, d, w, openBodies, restBodies, int(cfg.seconds/roundSeconds), restDur); err != nil {
+			return nil, err
+		}
+		for _, r := range rounds {
+			openShots = append(openShots, r.open...)
+			restShots = append(restShots, r.closed...)
+			probes = append(probes, r.probes...)
+		}
+	} else {
+		openShots = openLoop(load, []string{d.url()}, 0, openBodies, w.Rate, 2*time.Second)
 		if traced, err = smp.stop(); err != nil {
 			return nil, err
 		}
-	}
-	load.CloseIdleConnections()
-
-	var restShots, direct []shot
-	var restElapsed time.Duration
-	var directBodies [][]byte
-	switch {
-	case !cfg.trace:
-		restShots, restElapsed = closedLoop(load, d.url(), nOpen, restBodies, restDur)
-	case w.Fleet:
-		// The router hop's cost: the same offered load sent straight to
-		// the backends, from another seed so no problem repeats.
-		ds, err := newStream(w, cfg.seed^0x5eed)
-		if err != nil {
-			return nil, err
+		load.CloseIdleConnections()
+		if w.Fleet {
+			// The router hop's cost: the same offered load sent straight to
+			// the backends, from another seed so no problem repeats.
+			ds, err := newStream(w, cfg.seed^0x5eed)
+			if err != nil {
+				return nil, err
+			}
+			if directBodies, err = ds.requests(0, int(w.Rate*restDur.Seconds())); err != nil {
+				return nil, err
+			}
+			urls := make([]string, len(d.backends))
+			for i, b := range d.backends {
+				urls[i] = b.url
+			}
+			direct = openLoop(load, urls, 0, directBodies, w.Rate, 2*time.Second)
 		}
-		if directBodies, err = ds.requests(0, int(w.Rate*restDur.Seconds())); err != nil {
-			return nil, err
-		}
-		urls := make([]string, len(d.backends))
-		for i, b := range d.backends {
-			urls[i] = b.url
-		}
-		direct = openLoop(load, urls, 0, directBodies, w.Rate, 2*time.Second)
 	}
 	load.CloseIdleConnections()
 	resumeGC()
@@ -273,56 +270,85 @@ func run(cfg config) (*result, error) {
 		fmt.Fprintf(os.Stderr, "nocbench: %d of %d requests failed (%d wrong); first: %s\n",
 			t.failed, t.attempted, t.wrong, t.firstErr)
 	}
-	measured := afterWarmup(openShots)
-	gen := scheduleStats(measured)
+	put := func(name string, v float64) { out.Metrics[name] = metric{Value: v, Unit: unitOf(name)} }
+	if cfg.trace {
+		measured := afterWarmup(openShots, warmup)
+		gen := scheduleStats(measured)
+		reportSchedule(w, cfg, len(measured), gen)
+		if err := an.layers(out, traced, endStats, routerStart, routerEnd, direct, latencies(measured), gen, stores); err != nil {
+			return nil, err
+		}
+		printMetrics(w.Name, cfg, out)
+		return out, nil
+	}
+
+	var p50s, rates, open []float64
+	var gen genStats
+	var cpuTicks int64
+	completed, measured := 0, 0
+	for i, r := range rounds {
+		skip := settle
+		if i == 0 {
+			skip = warmup
+		}
+		m := afterWarmup(r.open, skip)
+		g := scheduleStats(m)
+		gen.LagP99 = max(gen.LagP99, g.LagP99)
+		gen.BacklogMax = max(gen.BacklogMax, g.BacklogMax)
+		gen.Growing = gen.Growing || g.Growing
+		lat := latencies(m)
+		open = append(open, lat...)
+		measured += len(m)
+		p50s = append(p50s, median(lat))
+		var done []float64 // completion times (s) of the closed segment's good answers
+		for k := range r.closed {
+			if _, why := outcome(&r.closed[k]); why == "" {
+				done = append(done, r.closed[k].Done.Seconds())
+			}
+		}
+		sort.Float64s(done)
+		rates = append(rates, windowRates(done, r.elapsed.Seconds())...)
+		cpuTicks += r.cpuTicks
+		for k := range r.open {
+			if r.open[k].Status/100 == 2 {
+				completed++
+			}
+		}
+	}
+	reportSchedule(w, cfg, measured, gen)
+	// The p99 is too noisy on a shared host to bound, so it is a
+	// traced-run metric; it is still shown here.
+	p99, windows := windowedP99(open)
+	fmt.Fprintf(os.Stderr, "nocbench: p99 %.3f ms (median p99 of %d windows of %d samples; bounded only in traced runs' per-layer output)\n",
+		p99, windows, len(open)/windows)
+	// The CPU-bound figures are scaled to the reference host (see
+	// probe.go); the raw ones go to standard error.
+	slow := slowdown(probes)
+	p50, peak := median(p50s), median(rates)
+	cpu := float64(cpuTicks) * 1000 / clockTicks / float64(max(completed, 1))
+	fmt.Fprintf(os.Stderr, "nocbench: host ran %.3fx the reference probe time; raw p50 %.4f ms, peak %.1f req/s, cpu %.4f ms/job\n",
+		slow, p50, peak, cpu)
+	put("p50_ms", p50/slow)
+	put("peak_rps", peak*slow)
+	put("ok_ratio", 1-float64(t.failed)/float64(max(t.attempted, 1)))
+	put("setup_s", median(setups))
+	put("rss_mb", float64(usage.HWMKiB)*1024/1e6)
+	put("cpu_ms_per_job", cpu/slow)
+	printMetrics(w.Name, cfg, out)
+	return out, nil
+}
+
+// reportSchedule writes how well the generator kept its schedule over
+// n measured open-loop requests to standard error, warning when the
+// client backlog kept growing.
+func reportSchedule(w *workload, cfg config, n int, gen genStats) {
 	if gen.Growing {
 		fmt.Fprintf(os.Stderr, "nocbench: WARNING: client backlog still growing at the end of the schedule "+
 			"(%d requests behind); latency percentiles are not valid at %.0f req/s\n",
 			gen.BacklogMax, w.Rate)
 	}
-	open := latencies(measured)
 	fmt.Fprintf(os.Stderr, "nocbench: %s seed %d: %d open-loop samples (%d beyond p99), generator lag p99 %.3f ms, backlog max %d\n",
-		w.Name, cfg.seed, len(open), len(open)-int(0.99*float64(len(open))), ms(gen.LagP99), gen.BacklogMax)
-
-	if !cfg.trace {
-		completed := 0
-		for i := range openShots {
-			if openShots[i].Status/100 == 2 {
-				completed++
-			}
-		}
-		var done []float64 // completion times (s) of the closed loop's good answers
-		for i := range restShots {
-			if _, why := outcome(&restShots[i]); why == "" {
-				done = append(done, restShots[i].Done.Seconds())
-			}
-		}
-		// The p99 is too noisy on a shared host to bound, so it is a
-		// traced-run metric; it is still shown here.
-		p99, windows := windowedP99(open)
-		fmt.Fprintf(os.Stderr, "nocbench: p99 %.3f ms (median p99 of %d windows of %d samples; bounded only in traced runs' per-layer output)\n",
-			p99, windows, len(open)/windows)
-		p50 := median(open)
-		sort.Float64s(done)
-		peak := windowedRate(done, restElapsed.Seconds())
-		setup := median(setups)
-		cpu := float64(u1.CPUTicks-u0.CPUTicks) * 1000 / clockTicks / float64(max(completed, 1))
-		slow := slowdown(probes)
-		fmt.Fprintf(os.Stderr, "nocbench: host ran %.3fx the reference probe time; raw peak %.1f req/s\n", slow, peak)
-		put := func(name string, v float64) { out.Metrics[name] = metric{Value: v, Unit: unitOf(name)} }
-		put("p50_ms", p50)
-		put("peak_rps", peak*slow)
-		put("ok_ratio", 1-float64(t.failed)/float64(max(t.attempted, 1)))
-		put("setup_s", setup)
-		put("rss_mb", float64(usage.HWMKiB)*1024/1e6)
-		put("cpu_ms_per_job", cpu)
-	} else {
-		if err := an.layers(out, traced, endStats, routerStart, routerEnd, direct, open, gen, stores); err != nil {
-			return nil, err
-		}
-	}
-	printMetrics(w.Name, cfg, out)
-	return out, nil
+		w.Name, cfg.seed, n, n-int(0.99*float64(n)), ms(gen.LagP99), gen.BacklogMax)
 }
 
 // loadHeapLimit caps the generator's heap while collection is paused.

@@ -4,16 +4,18 @@ import (
 	"crypto/sha256"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 )
 
 // The host this benchmark runs on is shared: over minutes its CPU speed
 // drifts by up to ±30%, and the closed loop's throughput, which keeps
 // both cores busy, moves with it (on eight hot-repeat runs a fixed CPU
-// task's duration correlated -0.88 with peak_rps). So each run times
-// the fixed task below while no server process exists, once before
-// set-up and once after the servers stop, and reports peak_rps scaled
-// to a host on which the task takes probeRef. The raw figure goes to
+// task's duration correlated -0.88 with peak_rps), as do the open
+// loop's p50 and CPU time per job. So each run times the fixed task
+// below before set-up, at the start of every round and after the
+// servers stop, and reports p50_ms, peak_rps and cpu_ms_per_job scaled
+// to a host on which the task takes probeRef. The raw figures go to
 // standard error.
 
 // probeRef is the task's duration on a calm 2-core x86-64 host, the one
@@ -48,14 +50,24 @@ func probeTask() time.Duration {
 	return time.Since(start)
 }
 
-// probe runs the task probeReps times and returns each duration in ms.
-// It collects garbage first, so no collection of the benchmark's own
-// heap runs beside the task.
+// probe runs the task probeReps times on each of the generator's conns
+// threads at once, so a core taken by another tenant of the host shows
+// as it does to the servers, and returns each duration in ms. It
+// collects garbage first, so no collection of the benchmark's own heap
+// runs beside the task.
 func probe() []float64 {
 	runtime.GC()
-	out := make([]float64, probeReps)
-	for i := range out {
-		out[i] = ms(probeTask())
+	out := make([]float64, probeReps*conns)
+	for r := 0; r < probeReps; r++ {
+		var wg sync.WaitGroup
+		for t := 0; t < conns; t++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				out[k] = ms(probeTask())
+			}(r*conns + t)
+		}
+		wg.Wait()
 	}
 	return out
 }

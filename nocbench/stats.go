@@ -35,13 +35,17 @@ func windowedP99(xs []float64) (float64, int) {
 	return median(p99s), k
 }
 
-// windowedRate is the median, over consecutive windows of about half a
-// second's worth of completions, of the rate each window ran at. done
-// holds completion times in seconds, sorted.
-func windowedRate(done []float64, seconds float64) float64 {
+// windowRates splits completions into consecutive windows of about half
+// a second's worth each and returns the rate each window ran at: the
+// plain rate when there are too few for two per window. done holds
+// completion times in seconds, sorted.
+func windowRates(done []float64, seconds float64) []float64 {
+	if seconds <= 0 {
+		return nil
+	}
 	k := int(2 * seconds)
 	if k < 1 || len(done) < 2*k {
-		return float64(len(done)) / seconds
+		return []float64{float64(len(done)) / seconds}
 	}
 	rates := make([]float64, k)
 	prev := 0.0
@@ -51,5 +55,5 @@ func windowedRate(done []float64, seconds float64) float64 {
 		rates[i] = float64(n) / (last - prev)
 		prev = last
 	}
-	return median(rates)
+	return rates
 }

@@ -29,9 +29,6 @@ type workload struct {
 	Fleet bool
 	// Rate is the fixed open-loop offered load (requests per second).
 	Rate float64
-	// OpenShare is the part of an untraced run's seconds given to the
-	// open loop; the closed loop gets the rest.
-	OpenShare float64
 	// Shapes are the problem families; request i draws from
 	// Shapes[i%len(Shapes)].
 	Shapes []shape
@@ -39,8 +36,9 @@ type workload struct {
 	// resubmits one of WorkingSet fixed problems, primed during set-up.
 	// Zero means every request carries a problem never sent before.
 	WorkingSet int
-	// Durability is the submissions' durability class ("" is async).
-	Durability string
+	// ReplicatedEvery, when positive, makes every ReplicatedEvery-th
+	// submission ask for durability=replicated; the others are async.
+	ReplicatedEvery int
 	// PeakCap bounds the closed-loop phase's pre-generated bodies per
 	// second of phase; a server faster than that ends the phase early.
 	PeakCap float64
@@ -48,6 +46,11 @@ type workload struct {
 	// against an in-process solve (a traced run checks every request).
 	CheckSample int
 }
+
+// openShare is the part of an untraced run's seconds given to the open
+// loop; the closed loop gets the rest. A traced fleet run gives the rest
+// to its direct pass.
+const openShare = 0.5
 
 // cacheSize and retention are nocmapd's defaults for -cache and
 // -retention, which the benchmark never overrides.
@@ -62,21 +65,22 @@ var workloads = []workload{
 	{
 		Name:        "small-distinct",
 		Rate:        1000,
-		OpenShare:   0.7,
 		Shapes:      []shape{{W: 4, H: 4, Cores: 8, Flows: 6, Algorithm: "nmap-single"}},
-		PeakCap:     4000,
+		PeakCap:     6000,
 		CheckSample: 256,
 	},
 	// large distinct solves: the NMAP kernels (single-path sweeps,
-	// split-traffic MCF/LP) are most of each request
+	// split-traffic MCF/LP) are most of each request. The two shapes'
+	// solve times overlap (about 13 and 20 ms in process), so the
+	// latency distribution has one mode and p50_ms falls inside it; with
+	// 192-flow single-path apps (about 6 ms) the median sat in the gap
+	// between a fast and a slow population and spread 0.14 over five
+	// seeds.
 	{
 		Name: "solve-heavy",
-		Rate: 45,
-		// Half the run for the closed loop: with 30% of it, peak_rps
-		// spread 0.32 over ten seeds; with half, 0.14.
-		OpenShare: 0.5,
+		Rate: 35,
 		Shapes: []shape{
-			{W: 8, H: 8, Cores: 64, Flows: 192, Algorithm: "nmap-single"},
+			{W: 8, H: 8, Cores: 64, Flows: 240, Algorithm: "nmap-single"},
 			{W: 4, H: 4, Cores: 12, Flows: 18, Algorithm: "nmap-split"},
 		},
 		PeakCap:     400,
@@ -85,27 +89,30 @@ var workloads = []workload{
 	// 64 primed split problems resubmitted: every request is a cache hit,
 	// so decode, hashing and encoding dominate
 	{
-		Name: "hot-repeat",
-		Rate: 600,
-		// Half the run for the closed loop: with 30% of it, peak_rps
-		// spread 0.19 over ten seeds; with half, 0.07.
-		OpenShare:   0.5,
+		Name:        "hot-repeat",
+		Rate:        600,
 		Shapes:      []shape{{W: 4, H: 4, Cores: 16, Flows: 30, Algorithm: "nmap-split"}},
 		WorkingSet:  64,
-		PeakCap:     4000,
+		PeakCap:     5000,
 		CheckSample: 256,
 	},
-	// small distinct solves through nocmapsh to two backends with
-	// durability=replicated: routing and replication acks
+	// small distinct solves through nocmapsh to two replicating backends:
+	// routing, record shipping to the follower, and durability=replicated
+	// acks. Only one submission in eight asks for the replicated ack.
+	// When all did, latency had two modes 1.3 ms apart (whether a job's
+	// queued and terminal records reached the follower in one batch or
+	// two), the share in the lower one changed from run to run between 0
+	// and about half, and p50_ms flipped between 2.8 and 3.9 ms. The
+	// other seven are async and still replicated, so the median lies in
+	// their single mode.
 	{
-		Name:        "fleet-replicated",
-		Fleet:       true,
-		Rate:        200,
-		OpenShare:   0.7,
-		Shapes:      []shape{{W: 4, H: 4, Cores: 8, Flows: 6, Algorithm: "nmap-single"}},
-		Durability:  server.DurabilityReplicated,
-		PeakCap:     1500,
-		CheckSample: 256,
+		Name:            "fleet-replicated",
+		Fleet:           true,
+		Rate:            300,
+		Shapes:          []shape{{W: 4, H: 4, Cores: 8, Flows: 6, Algorithm: "nmap-single"}},
+		ReplicatedEvery: 8,
+		PeakCap:         2500,
+		CheckSample:     256,
 	},
 }
 
@@ -167,10 +174,11 @@ func (w *workload) body(seed int64, id int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(server.SubmitRequest{
-		Problem: raw,
-		Options: server.SolveSpec{Algorithm: sh.Algorithm, Durability: w.Durability},
-	})
+	spec := server.SolveSpec{Algorithm: sh.Algorithm}
+	if w.ReplicatedEvery > 0 && id%w.ReplicatedEvery == 0 {
+		spec.Durability = server.DurabilityReplicated
+	}
+	return json.Marshal(server.SubmitRequest{Problem: raw, Options: spec})
 }
 
 // stream is a workload's request sequence under one seed. A repeating
