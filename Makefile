@@ -2,7 +2,7 @@ GO ?= go
 
 # Allocation ceilings the kernel benches must hold (see cmd/benchjson);
 # CI fails the build when any regresses.
-BENCH_GATES = MapSinglePathSwapDelta<=0,RouteSinglePath<=0,PBBVOPD<=2000
+BENCH_GATES = MapSinglePathSwapDelta<=0,RouteSinglePath<=0,PBBVOPD<=2000,ParseSubmit/8core<=110,ParseSubmit/64core<=1100
 
 .PHONY: build test race bench bench-json bench-gate bench-service bench-service-gate bench-store-compact experiments apicheck api-update importgate linkcheck server-smoke fuzz-smoke chaos-smoke chaos-smoke-r2 cover nocmapvet lint
 
@@ -14,7 +14,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/ ./internal/baseline/ -run 'Race|Parallel|Workers'
-	$(GO) test -race ./nocmap/server/ ./nocmap/client/ ./nocmap/shard/ ./nocmap/store/ ./nocmap/httpfault/
+	$(GO) test -race ./nocmap/ ./nocmap/server/ ./nocmap/client/ ./nocmap/shard/ ./nocmap/store/ ./nocmap/httpfault/
 
 # Short deterministic-budget fuzz pass over the wire formats and the
 # request decoder (seed corpora live in testdata/fuzz/). CI runs this;

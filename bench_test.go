@@ -9,6 +9,9 @@
 package repro
 
 import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/apps"
@@ -22,6 +25,8 @@ import (
 	"repro/internal/route"
 	"repro/internal/topology"
 	"repro/internal/xpipes"
+	"repro/nocmap"
+	"repro/nocmap/server"
 )
 
 // BenchmarkFig3 regenerates Figure 3: the communication cost of PMAP,
@@ -396,5 +401,67 @@ func BenchmarkInitializeVOPD(b *testing.B) {
 		if m := p.Initialize(); !m.Complete() {
 			b.Fatal("incomplete")
 		}
+	}
+}
+
+// submitBody builds a POST /v1/solve body the way the service benchmark
+// does: cores c0..c{cores-1}, flows distinct random (src, dst) pairs of
+// 5..50 MB/s, on a w x h mesh of 1000 MB/s links.
+func submitBody(b *testing.B, w, h, cores, flows int) []byte {
+	b.Helper()
+	rng := rand.New(rand.NewSource(int64(cores)))
+	app := nocmap.NewCoreGraph(fmt.Sprintf("bench-%d", cores))
+	for c := 0; c < cores; c++ {
+		app.AddCore(fmt.Sprintf("c%d", c))
+	}
+	for app.NumEdges() < flows {
+		a, d := rng.Intn(cores), rng.Intn(cores-1)
+		if d >= a {
+			d++
+		}
+		if app.HasEdge(a, d) {
+			continue
+		}
+		app.Connect(fmt.Sprintf("c%d", a), fmt.Sprintf("c%d", d), float64(5+rng.Intn(46)))
+	}
+	mesh, err := nocmap.NewMesh(w, h, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := nocmap.NewProblem(app, mesh)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := json.Marshal(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(server.SubmitRequest{Problem: raw, Options: server.SolveSpec{Algorithm: "nmap-single"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkParseSubmit measures the service's front door on the
+// benchmark's small (8 cores on 4x4) and large (64 cores on 8x8) bodies:
+// decode, validation and the canonical form the job key hashes.
+func BenchmarkParseSubmit(b *testing.B) {
+	for _, c := range []struct {
+		name               string
+		w, h, cores, flows int
+	}{
+		{"8core", 4, 4, 8, 6},
+		{"64core", 8, 8, 64, 240},
+	} {
+		body := submitBody(b, c.w, c.h, c.cores, c.flows)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, serr := server.ParseSubmit(body); serr != nil {
+					b.Fatal(serr)
+				}
+			}
+		})
 	}
 }

@@ -51,7 +51,8 @@ const defaultPattern = "BenchmarkMapSinglePathSwapDelta$|BenchmarkRouteSinglePat
 	"BenchmarkShortestPathRouting$|BenchmarkQuadrantDijkstra$|" +
 	"BenchmarkPBBVOPD$|BenchmarkPBBVOPDFastQueue$|" +
 	"BenchmarkMCF2VOPD$|BenchmarkMCF2VOPDSolverReuse$|BenchmarkLPSimplex$|" +
-	"BenchmarkMapSinglePathVOPD$|BenchmarkMapSinglePath65$|BenchmarkInitializeVOPD$"
+	"BenchmarkMapSinglePathVOPD$|BenchmarkMapSinglePath65$|BenchmarkInitializeVOPD$|" +
+	"BenchmarkParseSubmit$"
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 

@@ -5,8 +5,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is a directed weighted edge between two vertices identified by
@@ -114,15 +115,15 @@ func (g *Digraph) In(v int) []Edge { return g.in[v] }
 
 // Edges returns all edges sorted by (From, To) for deterministic iteration.
 func (g *Digraph) Edges() []Edge {
-	var es []Edge
+	es := make([]Edge, 0, g.NumEdges())
 	for v := 0; v < g.n; v++ {
 		es = append(es, g.out[v]...)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
+	slices.SortFunc(es, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return es[i].To < es[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	return es
 }

@@ -68,9 +68,11 @@ type quadCache struct {
 // Topology is the NoC topology graph P(U,F). Nodes are numbered
 // row-major: node = y*W + x.
 //
-// All read methods are safe for concurrent use: the dense tables are
-// built at construction time and the per-pair quadrant caches are filled
-// through atomic pointers (idempotent, so racing fills agree).
+// A Topology is immutable once built, and all its methods are safe for
+// concurrent use: the dense tables are built at construction time and
+// the per-pair quadrant caches are filled through atomic pointers
+// (idempotent, so racing fills agree). Callers must not modify its
+// exported fields or the slices it returns.
 type Topology struct {
 	Kind  Kind
 	W, H  int
@@ -199,13 +201,6 @@ func (t *Topology) LinkID(from, to int) int {
 
 // Link returns the link with the given ID.
 func (t *Topology) Link(id int) Link { return t.links[id] }
-
-// SetLinkBW overrides the bandwidth of every link (uniform capacity).
-func (t *Topology) SetLinkBW(bw float64) {
-	for i := range t.links {
-		t.links[i].BW = bw
-	}
-}
 
 // Graph exposes the topology as a Digraph whose edge weights are link
 // bandwidths; useful for generic algorithms. Callers must not mutate it.

@@ -208,16 +208,6 @@ func TestPathLinksRejectsNonAdjacent(t *testing.T) {
 	}
 }
 
-func TestSetLinkBW(t *testing.T) {
-	m, _ := NewMesh(2, 2, 100)
-	m.SetLinkBW(250)
-	for _, l := range m.Links() {
-		if l.BW != 250 {
-			t.Fatalf("link %d BW = %g, want 250", l.ID, l.BW)
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if MeshKind.String() != "mesh" || TorusKind.String() != "torus" {
 		t.Fatal("Kind.String wrong")

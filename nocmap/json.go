@@ -1,7 +1,6 @@
 package nocmap
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -11,11 +10,10 @@ import (
 
 // jsonProblem is the wire form of a Problem: the core graph in the
 // repository's JSON graph format plus a topology spec. Link bandwidth is
-// uniform in the wire form; per-link overrides applied after
-// construction do not round-trip.
+// uniform in the wire form.
 type jsonProblem struct {
-	App      json.RawMessage `json:"app"`
-	Topology jsonTopology    `json:"topology"`
+	App      graph.Wire   `json:"app"`
+	Topology jsonTopology `json:"topology"`
 }
 
 type jsonTopology struct {
@@ -26,21 +24,18 @@ type jsonTopology struct {
 }
 
 // MarshalJSON serializes the problem as its application graph plus
-// topology spec.
+// topology spec, in compact form: these bytes are the canonical form
+// every derived hash keys on.
 func (p *Problem) MarshalJSON() ([]byte, error) {
 	if p.app == nil || p.topo == nil {
 		return nil, fmt.Errorf("nocmap: marshaling uninitialized problem: %w", ErrNilInput)
-	}
-	var app bytes.Buffer
-	if err := p.app.WriteJSON(&app); err != nil {
-		return nil, fmt.Errorf("nocmap: serializing app: %w", err)
 	}
 	bw := 0.0
 	if links := p.topo.Links(); len(links) > 0 {
 		bw = links[0].BW
 	}
 	return json.Marshal(jsonProblem{
-		App: json.RawMessage(bytes.TrimSpace(app.Bytes())),
+		App: p.app.ToWire(),
 		Topology: jsonTopology{
 			Kind: p.topo.Kind.String(),
 			W:    p.topo.W,
@@ -57,8 +52,11 @@ func (p *Problem) MarshalJSON() ([]byte, error) {
 // a deserializing service allocate an arbitrarily large topology.
 const MaxWireNodes = 1 << 16
 
-// UnmarshalJSON rebuilds the problem, re-running the NewProblem
-// validation on the decoded pair.
+// UnmarshalJSON rebuilds the problem in one decoding pass, re-running
+// the NewProblem validation on the decoded pair. Small topologies are
+// interned: every problem decoded (or capped with WithBandwidthCap) onto
+// the same kind, size and link bandwidth shares one immutable Topology
+// and its warm routing caches.
 func (p *Problem) UnmarshalJSON(data []byte) error {
 	var in jsonProblem
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -71,7 +69,7 @@ func (p *Problem) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("nocmap: topology %dx%d exceeds the %d-node wire limit: %w",
 			w, h, MaxWireNodes, topology.ErrInvalidDimensions)
 	}
-	app, err := graph.ReadJSON(bytes.NewReader(in.App))
+	app, err := in.App.CoreGraph()
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package nocmap
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/cli"
@@ -62,13 +64,50 @@ func NewTorus(w, h int, linkBW float64) (*Topology, error) { return topology.New
 
 // buildTopology dispatches on the topology kind — the one place the
 // kind-to-constructor mapping lives (bandwidth capping and JSON
-// deserialization both go through it).
+// deserialization both go through it). It interns topologies of at most
+// internNodes nodes: identical specs share one immutable instance, whose
+// dense tables are built once and whose quadrant caches stay warm.
 func buildTopology(kind topology.Kind, w, h int, linkBW float64) (*Topology, error) {
+	build := NewMesh
 	if kind == topology.TorusKind {
-		return NewTorus(w, h, linkBW)
+		build = NewTorus
 	}
-	return NewMesh(w, h, linkBW)
+	if w < 1 || h < 1 || w > internNodes/h {
+		return build(w, h, linkBW)
+	}
+	spec := topoSpec{kind, w, h, math.Float64bits(linkBW)}
+	interned.Lock()
+	defer interned.Unlock()
+	if t, ok := interned.m[spec]; ok {
+		return t, nil
+	}
+	t, err := build(w, h, linkBW)
+	if err != nil {
+		return nil, err
+	}
+	if len(interned.m) >= internEntries {
+		clear(interned.m)
+	}
+	interned.m[spec] = t
+	return t, nil
 }
+
+// A fully warm quadrant cache holds about 17·n³ bytes (4.5 MB at 64
+// nodes, an 8x8 mesh). At most internEntries topologies are kept; a full
+// table is emptied before the next insert.
+const internNodes, internEntries = 64, 16
+
+// topoSpec keys the intern table; the bandwidth is compared bit for bit.
+type topoSpec struct {
+	kind topology.Kind
+	w, h int
+	bw   uint64
+}
+
+var interned = struct {
+	sync.Mutex
+	m map[topoSpec]*Topology
+}{m: map[topoSpec]*Topology{}}
 
 // FitMesh returns mesh dimensions (w, h) able to hold n cores, as close
 // to square as possible with w >= h.

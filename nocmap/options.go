@@ -102,7 +102,9 @@ func WithSplitPolicy(s SplitPolicy) Option { return func(o *Options) { o.Split =
 // WithBandwidthCap overrides every link's bandwidth (MB/s) for this
 // solve, leaving the Problem untouched. Zero (the default) means no
 // override; negative values are rejected by Solve with
-// ErrInvalidBandwidth.
+// ErrInvalidBandwidth. Capped topologies are interned like decoded ones:
+// solves with the same cap on the same small mesh or torus share one
+// immutable Topology.
 func WithBandwidthCap(bw float64) Option { return func(o *Options) { o.BandwidthCap = bw } }
 
 // WithFastQueue opts the "pbb" baseline into its O(log n)-eviction

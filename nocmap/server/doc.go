@@ -12,10 +12,11 @@
 //   - Request coalescing: a submission identical to a queued or running
 //     job attaches to it as a follower (marked Coalesced), sharing one
 //     computation and its outcome.
-//   - Same-topology batching plus per-worker problem reuse: a worker
-//     drains up to Config.BatchSize queued jobs on the same topology in
-//     one pass, and re-validated Problems are cached per worker so
-//     identical applications share the engine's prepared structures.
+//   - Same-topology batching on shared topologies: a worker drains up
+//     to Config.BatchSize queued jobs on the same topology in one pass,
+//     and every small topology decoded from the wire is interned, so
+//     identical specs share one immutable instance and its warm routing
+//     caches across workers.
 //
 // Jobs move queued -> running -> done | failed | cancelled. DELETE
 // cancels through the solver's context.Context: a running job returns

@@ -233,7 +233,6 @@ func (s *Server) recoverLive(rec store.JobRecord) {
 	j.problem = &p
 	j.spec = spec
 	j.key = JobKey(rec.Problem, spec) // recompute: guards against hash drift
-	j.pkey = problemKey(rec.Problem)
 	topo := p.Topology()
 	j.tkey = fmt.Sprintf("%s/%dx%d", topo.Kind, topo.W, topo.H)
 

@@ -18,10 +18,9 @@ import (
 // 8 same-topology jobs per worker pass.
 type Config struct {
 	// Pool is the number of concurrent solver workers (<= 0: one per
-	// CPU). Each worker owns reusable solver state: a bounded cache of
-	// validated Problems keyed by canonical problem JSON, so repeated
-	// submissions of the same application/topology skip re-validation
-	// and share the engine's cached commodity structures.
+	// CPU). Problems on the same small topology share one interned
+	// Topology, so its routing caches stay warm whichever worker
+	// solves them.
 	Pool int
 	// QueueSize bounds the number of jobs waiting for a worker;
 	// submissions beyond it are rejected with CodeQueueFull (<= 0: 256).
@@ -30,8 +29,7 @@ type Config struct {
 	// negative: caching disabled).
 	CacheSize int
 	// BatchSize is how many same-topology jobs one worker drains from
-	// the queue in a single pass, maximizing reuse of its per-topology
-	// solver state (<= 0: 8).
+	// the queue in a single pass (<= 0: 8).
 	BatchSize int
 	// Retention bounds how many finished jobs keep their status
 	// queryable via GET /v1/jobs/{id} (<= 0: 1024). Jobs are evicted in
@@ -112,9 +110,11 @@ func (c Config) withDefaults() Config {
 type job struct {
 	id   string
 	key  string // canonical problem+options hash (cache / coalescing)
-	pkey string // canonical problem-only hash (worker problem reuse)
 	tkey string // topology spec (batch affinity)
 
+	// problem and canon are dropped when the job finishes: terminal
+	// records never carry the problem, and a retained status must not
+	// pin it.
 	problem *nocmap.Problem
 	spec    SolveSpec
 	canon   []byte // canonical problem JSON (persisted for replay)
@@ -411,7 +411,6 @@ func (s *Server) submit(p *nocmap.Problem, problemJSON []byte, spec SolveSpec) (
 	topo := p.Topology()
 	j := &job{
 		key:     key,
-		pkey:    problemKey(problemJSON),
 		tkey:    fmt.Sprintf("%s/%dx%d", topo.Kind, topo.W, topo.H),
 		problem: p,
 		spec:    spec,
@@ -706,6 +705,7 @@ func (s *Server) finishCachedLocked(j *job, cached json.RawMessage) {
 	s.termSeq++
 	j.seq = s.termSeq
 	s.persistJob(j)
+	j.problem, j.canon = nil, nil
 	s.retainLocked(j)
 	s.stats.CacheHits++
 }
@@ -831,6 +831,7 @@ func (s *Server) finishWithLocked(j *job, state string, result json.RawMessage, 
 	s.termSeq++
 	j.seq = s.termSeq
 	s.persistJob(j)
+	j.problem, j.canon = nil, nil
 	s.retainLocked(j)
 	close(j.done)
 	for _, f := range j.followers {
@@ -841,13 +842,9 @@ func (s *Server) finishWithLocked(j *job, state string, result json.RawMessage, 
 }
 
 // worker is one pool goroutine: it drains batches of same-topology jobs
-// and solves them with reusable per-worker state.
+// and solves them back to back.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	// problems caches validated Problems by canonical problem JSON so a
-	// repeated application/topology skips NewProblem and shares the
-	// engine's cached commodity structures across solves.
-	problems := make(map[string]*nocmap.Problem)
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -860,14 +857,14 @@ func (s *Server) worker() {
 		batch := s.takeBatchLocked()
 		s.mu.Unlock()
 		for _, j := range batch {
-			s.solve(j, problems)
+			s.solve(j)
 		}
 	}
 }
 
 // takeBatchLocked pops the head job plus up to BatchSize-1 more queued
 // jobs on the same topology, so one worker pass solves them back to
-// back against its warm per-topology state.
+// back.
 func (s *Server) takeBatchLocked() []*job {
 	head := s.queue[0]
 	batch := []*job{head}
@@ -885,7 +882,7 @@ func (s *Server) takeBatchLocked() []*job {
 }
 
 // solve runs one job to completion on the calling worker goroutine.
-func (s *Server) solve(j *job, problems map[string]*nocmap.Problem) {
+func (s *Server) solve(j *job) {
 	s.mu.Lock()
 	if j.finished {
 		s.mu.Unlock()
@@ -900,15 +897,6 @@ func (s *Server) solve(j *job, problems map[string]*nocmap.Problem) {
 	}
 	s.running++
 	prob := j.problem
-	if cached, ok := problems[j.pkey]; ok {
-		prob = cached
-		s.stats.ProblemsReused++
-	} else {
-		if len(problems) >= 64 { // bound the per-worker cache
-			clear(problems)
-		}
-		problems[j.pkey] = j.problem
-	}
 	s.mu.Unlock()
 
 	opts := append(j.spec.Options(), nocmap.WithProgress(func(ev nocmap.Event) {

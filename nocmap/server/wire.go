@@ -155,8 +155,10 @@ func ParseSubmit(body []byte) (*nocmap.Problem, []byte, SolveSpec, *SubmitError)
 		return nil, nil, SolveSpec{}, &SubmitError{Status: 400,
 			Payload: &ErrorPayload{Code: CodeBadRequest, Message: `missing "problem"`}}
 	}
+	// req.Problem is one JSON value the body decode already validated,
+	// so it goes to the problem decoder without a second validity scan.
 	var p nocmap.Problem
-	if err := json.Unmarshal(req.Problem, &p); err != nil {
+	if err := p.UnmarshalJSON(req.Problem); err != nil {
 		// Problem construction failed: distinguish malformed JSON from a
 		// well-formed but invalid/infeasible problem via the typed
 		// sentinels (422 carries the classification).
@@ -173,7 +175,7 @@ func ParseSubmit(body []byte) (*nocmap.Problem, []byte, SolveSpec, *SubmitError)
 	if err != nil {
 		return nil, nil, SolveSpec{}, &SubmitError{Status: 422, Payload: errorPayloadForSpec(err)}
 	}
-	canon, err := json.Marshal(&p)
+	canon, err := p.MarshalJSON()
 	if err != nil {
 		return nil, nil, SolveSpec{}, &SubmitError{Status: 500,
 			Payload: &ErrorPayload{Code: CodeInternal, Message: err.Error()}}
@@ -337,13 +339,12 @@ type JobEvent struct {
 
 // Stats is the server's counter snapshot (GET /v1/stats).
 type Stats struct {
-	Submitted      uint64 `json:"submitted"`
-	Solved         uint64 `json:"solved"`
-	Failed         uint64 `json:"failed"`
-	Cancelled      uint64 `json:"cancelled"`
-	CacheHits      uint64 `json:"cache_hits"`
-	Coalesced      uint64 `json:"coalesced"`
-	ProblemsReused uint64 `json:"problems_reused"`
+	Submitted uint64 `json:"submitted"`
+	Solved    uint64 `json:"solved"`
+	Failed    uint64 `json:"failed"`
+	Cancelled uint64 `json:"cancelled"`
+	CacheHits uint64 `json:"cache_hits"`
+	Coalesced uint64 `json:"coalesced"`
 	// Recovered counts jobs that a restart found queued or running in
 	// the job store and re-enqueued (or re-answered from the restored
 	// cache) instead of losing.
@@ -427,11 +428,4 @@ func JobKey(problemJSON []byte, spec SolveSpec) string {
 	h.Write([]byte{0})
 	h.Write(optJSON)
 	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// problemKey hashes the canonical problem JSON alone — the per-worker
-// problem-reuse cache keys on it, options aside.
-func problemKey(problemJSON []byte) string {
-	h := sha256.Sum256(problemJSON)
-	return hex.EncodeToString(h[:16])
 }

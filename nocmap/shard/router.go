@@ -755,7 +755,6 @@ func addStats(a, b server.Stats) server.Stats {
 	a.Cancelled += b.Cancelled
 	a.CacheHits += b.CacheHits
 	a.Coalesced += b.Coalesced
-	a.ProblemsReused += b.ProblemsReused
 	a.Recovered += b.Recovered
 	a.Restored += b.Restored
 	a.StoreErrors += b.StoreErrors

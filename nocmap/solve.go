@@ -54,8 +54,8 @@ func Solve(ctx context.Context, p *Problem, opts ...Option) (*Result, error) {
 	return fn(ctx, req)
 }
 
-// cappedTopology rebuilds the topology with every link's bandwidth set
-// to bw, leaving the original untouched.
+// cappedTopology returns the topology of t's kind and size with every
+// link's bandwidth set to bw, leaving t untouched.
 func cappedTopology(t *Topology, bw float64) (*Topology, error) {
 	return buildTopology(t.Kind, t.W, t.H, bw)
 }
