@@ -2,7 +2,7 @@ GO ?= go
 
 # Allocation ceilings the kernel benches must hold (see cmd/benchjson);
 # CI fails the build when any regresses.
-BENCH_GATES = MapSinglePathSwapDelta<=0,RouteSinglePath<=0,PBBVOPD<=2000,ParseSubmit/8core<=110,ParseSubmit/64core<=1100
+BENCH_GATES = MapSinglePathSwapDelta<=0,RouteSinglePath<=0,PBBVOPD<=2000,ParseSubmit/8core<=110,ParseSubmit/64core<=1100,WriteJobStatus<=4,ApplyOpsCacheHit<=5
 
 .PHONY: build test race bench bench-json bench-gate bench-service bench-service-gate bench-store-compact experiments apicheck api-update importgate linkcheck server-smoke fuzz-smoke chaos-smoke chaos-smoke-r2 cover nocmapvet lint
 
@@ -16,14 +16,17 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/baseline/ -run 'Race|Parallel|Workers'
 	$(GO) test -race ./nocmap/ ./nocmap/server/ ./nocmap/client/ ./nocmap/shard/ ./nocmap/store/ ./nocmap/httpfault/
 
-# Short deterministic-budget fuzz pass over the wire formats and the
-# request decoder (seed corpora live in testdata/fuzz/). CI runs this;
-# drop the -fuzztime for a real fuzzing session.
+# Short deterministic-budget fuzz pass over the wire formats, the
+# request decoder and the hand-written JobStatus and WAL encoders (seed
+# corpora live in testdata/fuzz/ and the targets' f.Add calls). CI runs
+# this; drop the -fuzztime for a real fuzzing session.
 FUZZTIME = 10s
 fuzz-smoke:
 	$(GO) test ./nocmap -run '^$$' -fuzz FuzzProblemJSONRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./nocmap -run '^$$' -fuzz FuzzResultJSONRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./nocmap/server -run '^$$' -fuzz FuzzParseSubmit -fuzztime $(FUZZTIME)
+	$(GO) test ./nocmap/server -run '^$$' -fuzz FuzzJobStatusEncoding -fuzztime $(FUZZTIME)
+	$(GO) test ./nocmap/store -run '^$$' -fuzz FuzzWALEncoding -fuzztime $(FUZZTIME)
 
 # Per-package coverage floors (scripts/cover_thresholds.txt). CI fails
 # when nocmap, nocmap/server, nocmap/store or nocmap/shard drop below

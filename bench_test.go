@@ -9,9 +9,13 @@
 package repro
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/apps"
@@ -27,6 +31,7 @@ import (
 	"repro/internal/xpipes"
 	"repro/nocmap"
 	"repro/nocmap/server"
+	"repro/nocmap/store"
 )
 
 // BenchmarkFig3 regenerates Figure 3: the communication cost of PMAP,
@@ -406,8 +411,8 @@ func BenchmarkInitializeVOPD(b *testing.B) {
 
 // submitBody builds a POST /v1/solve body the way the service benchmark
 // does: cores c0..c{cores-1}, flows distinct random (src, dst) pairs of
-// 5..50 MB/s, on a w x h mesh of 1000 MB/s links.
-func submitBody(b *testing.B, w, h, cores, flows int) []byte {
+// 5..50 MB/s, on a w x h mesh of 1000 MB/s links, solved by algorithm.
+func submitBody(b *testing.B, w, h, cores, flows int, algorithm string) []byte {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(cores)))
 	app := nocmap.NewCoreGraph(fmt.Sprintf("bench-%d", cores))
@@ -436,7 +441,7 @@ func submitBody(b *testing.B, w, h, cores, flows int) []byte {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body, err := json.Marshal(server.SubmitRequest{Problem: raw, Options: server.SolveSpec{Algorithm: "nmap-single"}})
+	body, err := json.Marshal(server.SubmitRequest{Problem: raw, Options: server.SolveSpec{Algorithm: algorithm}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -454,7 +459,7 @@ func BenchmarkParseSubmit(b *testing.B) {
 		{"8core", 4, 4, 8, 6},
 		{"64core", 8, 8, 64, 240},
 	} {
-		body := submitBody(b, c.w, c.h, c.cores, c.flows)
+		body := submitBody(b, c.w, c.h, c.cores, c.flows, "nmap-single")
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -463,5 +468,83 @@ func BenchmarkParseSubmit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that drops the body.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// hotRepeatBody is the service benchmark's repeated shape: 16 cores and
+// 30 flows on a 4x4 mesh, split-traffic NMAP.
+func hotRepeatBody(b *testing.B) []byte { return submitBody(b, 4, 4, 16, 30, "nmap-split") }
+
+// BenchmarkWriteJobStatus measures answering GET /v1/jobs/{id} for a
+// cache hit carrying the hot-repeat shape's result: the job lookup and
+// the JobStatus encode, with the result bytes copied as they are.
+func BenchmarkWriteJobStatus(b *testing.B) {
+	svc, err := server.New(server.Config{Pool: 1, QueueSize: 8, CacheSize: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	body := hotRepeatBody(b)
+	var st server.JobStatus
+	for i := 0; i < 2; i++ { // solve, then hit the cache
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !st.CacheHit || len(st.Result) == 0 {
+		b.Fatalf("second submission was not a cache hit with a result: %+v", st)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID, nil)
+	w := &discardWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	for b.Loop() {
+		h.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkApplyOpsCacheHit measures the store write one cache hit
+// costs: its terminal record, result included, appended to a FileStore
+// WAL and fsynced as one batch. The compaction triggers are out of
+// reach, so only the append path runs.
+func BenchmarkApplyOpsCacheHit(b *testing.B) {
+	var req server.SubmitRequest
+	if err := json.Unmarshal(hotRepeatBody(b), &req); err != nil {
+		b.Fatal(err)
+	}
+	var p nocmap.Problem
+	if err := json.Unmarshal(req.Problem, &p); err != nil {
+		b.Fatal(err)
+	}
+	res, err := nocmap.Solve(context.Background(), &p, nocmap.WithAlgorithm("nmap-split"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	result, err := json.Marshal(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := store.OpenConfig(b.TempDir(), store.FileConfig{CompactOps: 1 << 30, CompactBytes: 1 << 60})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fs.Close()
+	rec := store.JobRecord{ID: "job-00000001", Key: "0123456789abcdef0123456789abcdef",
+		State: store.StateDone, CacheHit: true, Result: result, Seq: 1, Minted: 1}
+	ops := []store.Op{{Kind: store.OpPutJob, Rec: &rec}}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := fs.ApplyOps(ops); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

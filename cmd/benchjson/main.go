@@ -52,7 +52,7 @@ const defaultPattern = "BenchmarkMapSinglePathSwapDelta$|BenchmarkRouteSinglePat
 	"BenchmarkPBBVOPD$|BenchmarkPBBVOPDFastQueue$|" +
 	"BenchmarkMCF2VOPD$|BenchmarkMCF2VOPDSolverReuse$|BenchmarkLPSimplex$|" +
 	"BenchmarkMapSinglePathVOPD$|BenchmarkMapSinglePath65$|BenchmarkInitializeVOPD$|" +
-	"BenchmarkParseSubmit$"
+	"BenchmarkParseSubmit$|BenchmarkWriteJobStatus$|BenchmarkApplyOpsCacheHit$"
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"repro/nocmap"
 )
@@ -78,14 +80,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// writeJSON writes a JSON body with the given status.
+// writeJSON writes a JSON body with the given status. A JobStatus goes
+// through appendJobStatus, which writes the same bytes without
+// re-compacting the result.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if st, ok := v.(JobStatus); ok {
+		buf := statusBufs.Get().(*[]byte)
+		*buf = appendJobStatus((*buf)[:0], &st)
+		w.Write(*buf)
+		if cap(*buf) <= 1<<20 {
+			statusBufs.Put(buf)
+		}
+		return
+	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
+
+// statusBufs recycles JobStatus encode buffers across responses.
+var statusBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeError writes the typed error envelope.
 func writeError(w http.ResponseWriter, status int, pay *ErrorPayload) {
@@ -256,30 +272,33 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	writeSSE := func(event string, v any) {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return
-		}
+	writeSSE := func(event string, data []byte) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 		flusher.Flush()
+	}
+	progress := func(ev JobEvent) {
+		if data, err := json.Marshal(ev); err == nil {
+			writeSSE("progress", data)
+		}
 	}
 	for {
 		select {
 		case ev := <-ch:
-			writeSSE("progress", ev)
+			progress(ev)
 		case <-j.done:
 			// Drain progress published before completion, then finish.
 			for {
 				select {
 				case ev := <-ch:
-					writeSSE("progress", ev)
+					progress(ev)
 					continue
 				default:
 				}
 				break
 			}
-			writeSSE("done", s.statusOf(j))
+			// The same bytes GET /v1/jobs/{id} answers, minus its newline.
+			st := s.statusOf(j)
+			writeSSE("done", bytes.TrimSuffix(appendJobStatus(nil, &st), []byte("\n")))
 			return
 		case <-r.Context().Done():
 			return

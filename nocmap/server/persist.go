@@ -104,6 +104,9 @@ func (s *Server) replay() error {
 	if err != nil {
 		return fmt.Errorf("server: loading job store: %w", err)
 	}
+	compactRecords(snap.Jobs)
+	compactCache(snap.Cache)
+	compactRecords(snap.Replicas)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 

@@ -618,6 +618,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if !decodeInternal(w, r, &req) {
 		return
 	}
+	compactRecords(req.Records)
 	s.mu.Lock()
 	applied := 0
 	// touched collects every ID this request may vouch for; their
@@ -802,6 +803,8 @@ func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	if !decodeInternal(w, r, &req) {
 		return
 	}
+	compactRecords(req.Records)
+	compactCache(req.Cache)
 	s.mu.Lock()
 	applied := 0
 	for _, rec := range req.Records {

@@ -80,42 +80,43 @@ func (fs *FileStore) kickCompactorLocked() {
 	}
 }
 
-// runCompaction performs one full compaction pass. It reads the prior
-// snapshot and the sealed segments from disk — immutable files, so no
-// lock is held across any of the heavy IO — folds them into a fresh
-// state, streams it to snapshot.json.tmp, atomically publishes it and
-// deletes the folded segments. fs.mu is taken only twice: to read the
-// segment range at the start and to settle the counters at the end.
+// runCompaction performs one full compaction pass. It takes the state
+// the latest rotation sealed — pointers to records already in memory,
+// so nothing is read back from disk — streams it to snapshot.json.tmp,
+// atomically publishes it and deletes the segments it covers. fs.mu is
+// taken only twice: to pick up the sealed state at the start and to
+// settle the counters at the end.
 //
 // Failure is containment, not corruption: the WAL still holds every op
 // until the rename lands, so any error before the publish simply leaves
-// the segments in place for the next trigger to retry. After a
-// successful publish the counters are settled unconditionally —
-// leftover segment files (a failed delete, a crash) are covered by the
-// snapshot's wal_seq watermark and removed on the next Open or pass,
-// never re-folded and never re-counted (the post-rename cleanup bug the
-// single-file design had).
+// the segments (and the sealed state) in place for the next trigger to
+// retry. After a successful publish the counters are settled
+// unconditionally — leftover segment files (a failed delete, a crash)
+// are covered by the snapshot's wal_seq watermark and removed on the
+// next Open or pass, never re-folded and never re-counted (the
+// post-rename cleanup bug the single-file design had).
 func (fs *FileStore) runCompaction() {
 	fs.mu.Lock()
-	if fs.closed {
+	sealed := fs.sealed
+	if fs.closed || sealed == nil {
+		// Closed, or nothing sealed: a kick raced a pass that already
+		// published everything.
 		fs.compacting = false
 		fs.compactCond.Broadcast()
 		fs.mu.Unlock()
 		return
 	}
 	from := fs.snapSeq + 1
-	upTo := fs.walSeq - 1 // everything below the active segment is sealed
 	pace := fs.compactThrottle
 	hook := fs.compactHook
 	fs.mu.Unlock()
 
 	if pace == nil {
-		// The fold and the snapshot write are CPU-dense (JSON both
-		// ways); on a small-GOMAXPROCS host an unpaced pass would
-		// monopolize a core for tens of milliseconds and the append
-		// path — off the writer path by design — would stall anyway,
-		// just on the scheduler instead of the lock. Yield between
-		// small batches of records so serving goroutines interleave.
+		// The snapshot encode is CPU-dense; on a small-GOMAXPROCS host an
+		// unpaced pass would monopolize a core and the append path — off
+		// the writer path by design — would stall anyway, just on the
+		// scheduler instead of the lock. Yield between small batches of
+		// records so serving goroutines interleave.
 		n := 0
 		pace = func() {
 			if n++; n%32 == 0 {
@@ -132,17 +133,20 @@ func (fs *FileStore) runCompaction() {
 		fs.compactCond.Broadcast()
 		fs.mu.Unlock()
 	}
-	finish := func(foldedOps int, foldedBytes int64, deleted int, deleteErr error) {
+	finish := func(deleted int, deleteErr error) {
 		fs.mu.Lock()
-		fs.snapSeq = upTo
+		fs.snapSeq = sealed.seq
+		if fs.sealed == sealed {
+			fs.sealed = nil // a rotation during the pass left a newer one
+		}
 		fs.compactions++
 		fs.segments -= deleted
 		// Subtract exactly what this pass folded: segments sealed WHILE
-		// the pass ran (seq > upTo) stay counted for the next one.
-		if fs.sealedOps -= foldedOps; fs.sealedOps < 0 {
+		// the pass ran (seq > sealed.seq) stay counted for the next one.
+		if fs.sealedOps -= sealed.ops; fs.sealedOps < 0 {
 			fs.sealedOps = 0
 		}
-		if fs.sealedSize -= foldedBytes; fs.sealedSize < 0 {
+		if fs.sealedSize -= sealed.size; fs.sealedSize < 0 {
 			fs.sealedSize = 0
 		}
 		if deleteErr != nil {
@@ -166,49 +170,16 @@ func (fs *FileStore) runCompaction() {
 		fs.mu.Unlock()
 	}
 
-	if upTo < from {
-		// Nothing sealed: a kick raced a pass that already folded
-		// everything.
-		fs.mu.Lock()
-		fs.compacting = false
-		fs.compactCond.Broadcast()
-		fs.mu.Unlock()
-		return
-	}
 	if hook != nil {
+		// The sealed state is the fold, so "folded" follows at once; the
+		// crash suite still kills the pass at both steps.
 		hook("begin")
-	}
-
-	// Fold: prior snapshot + sealed segments, replayed from disk into a
-	// state of their own — the live fs.state keeps advancing under
-	// fs.mu, untouched.
-	fold := newMemState()
-	coverSeq, err := readSnapshot(fs.path(snapshotFile), &fold, pace)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if coverSeq != from-1 {
-		fail(fmt.Errorf("store: snapshot covers wal_seq %d, expected %d", coverSeq, from-1))
-		return
-	}
-	foldedOps, foldedBytes := 0, int64(0)
-	for seq := from; seq <= upTo; seq++ {
-		ops, size, err := replaySegment(fs.path(segmentName(seq)), &fold, false, pace)
-		if err != nil {
-			fail(err)
-			return
-		}
-		foldedOps += ops
-		foldedBytes += size
-	}
-	if hook != nil {
 		hook("folded")
 	}
 
 	// Publish: stream to the tmp file, fsync, rename, fsync the dir.
 	tmp := fs.path(snapshotTmpFile)
-	if err := writeSnapshot(tmp, upTo, &fold, pace); err != nil {
+	if err := writeSnapshot(tmp, sealed.seq, &sealed.view, pace); err != nil {
 		os.Remove(tmp)
 		fail(err)
 		return
@@ -225,7 +196,7 @@ func (fs *FileStore) runCompaction() {
 		// The rename may not be durable yet, but both the old and the
 		// new snapshot state are recoverable (the WAL segments are
 		// still intact); treat as published and surface the error.
-		finish(foldedOps, foldedBytes, 0, fmt.Errorf("store: syncing dir after snapshot publish: %w", err))
+		finish(0, fmt.Errorf("store: syncing dir after snapshot publish: %w", err))
 		return
 	}
 	if hook != nil {
@@ -236,7 +207,7 @@ func (fs *FileStore) runCompaction() {
 	// skip them by wal_seq even if they survived.
 	deleted := 0
 	var deleteErr error
-	for seq := from; seq <= upTo; seq++ {
+	for seq := from; seq <= sealed.seq; seq++ {
 		if err := os.Remove(fs.path(segmentName(seq))); err != nil {
 			deleteErr = fmt.Errorf("store: deleting folded segment %s: %w", segmentName(seq), err)
 			continue
@@ -249,7 +220,7 @@ func (fs *FileStore) runCompaction() {
 	if hook != nil {
 		hook("deleted")
 	}
-	finish(foldedOps, foldedBytes, deleted, deleteErr)
+	finish(deleted, deleteErr)
 }
 
 // waitCompactionsLocked blocks until no compaction is in flight.

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -19,11 +18,12 @@ import (
 //
 // Compaction is off the writer path by construction: hitting a trigger
 // (op count or WAL bytes, see FileConfig) rotates to a fresh active
-// segment — a couple of metadata syscalls under the store lock — and
-// the compactor streams the sealed segments plus the prior snapshot
-// into a new snapshot without ever blocking an append. A snapshot that
-// takes seconds to write therefore costs concurrent appends nothing
-// but disk bandwidth.
+// segment — a couple of metadata syscalls plus an ordered list of
+// record pointers taken under the store lock — and the compactor
+// streams that list, the state the store had applied when it sealed
+// the segment, into a new snapshot without ever blocking an append or
+// reading the WAL back. A snapshot that takes seconds to write
+// therefore costs concurrent appends nothing but disk bandwidth.
 type FileStore struct {
 	dir string
 
@@ -41,9 +41,12 @@ type FileStore struct {
 
 	// Compactor coordination. sealedOps/sealedSize cover segments
 	// sealed by rotation but not yet folded into the snapshot; snapSeq
-	// is the highest segment the published snapshot covers.
+	// is the highest segment the published snapshot covers; sealed is
+	// the applied state as of the latest rotation — what the next
+	// snapshot publishes — and nil once a snapshot covers it.
 	sealedOps      int
 	sealedSize     int64
+	sealed         *sealedState
 	segments       int // segment files on disk (sealed + active)
 	snapSeq        uint64
 	compacting     bool
@@ -63,25 +66,66 @@ type FileStore struct {
 	applyFault      func(walOp) error
 	compactHook     func(step string)
 	compactThrottle func()
+
+	line []byte // WAL encode buffer, reused under mu
 }
 
 // memState is the store's authoritative in-memory image, mirrored by
-// snapshot+WAL on disk.
+// snapshot+WAL on disk. Records are never mutated in place — a put
+// stores a fresh copy — so a view's pointers stay valid after the
+// state moves on.
 type memState struct {
-	jobs         map[string]JobRecord
+	jobs         map[string]*JobRecord
 	jobOrder     []string
-	cache        map[string]CacheEntry
+	cache        map[string]json.RawMessage
 	cacheOrder   []string
-	replicas     map[string]JobRecord
+	replicas     map[string]*JobRecord
 	replicaOrder []string
 }
 
 func newMemState() memState {
 	return memState{
-		jobs:     make(map[string]JobRecord),
-		cache:    make(map[string]CacheEntry),
-		replicas: make(map[string]JobRecord),
+		jobs:     make(map[string]*JobRecord),
+		cache:    make(map[string]json.RawMessage),
+		replicas: make(map[string]*JobRecord),
 	}
+}
+
+// stateView is a memState's contents in order, as shared pointers.
+type stateView struct {
+	jobs     []*JobRecord
+	cache    []CacheEntry
+	replicas []*JobRecord
+}
+
+// view lists the state's records in order without copying them.
+func (s *memState) view() stateView {
+	v := stateView{
+		jobs:     make([]*JobRecord, len(s.jobOrder)),
+		cache:    make([]CacheEntry, len(s.cacheOrder)),
+		replicas: make([]*JobRecord, len(s.replicaOrder)),
+	}
+	for i, id := range s.jobOrder {
+		v.jobs[i] = s.jobs[id]
+	}
+	for i, key := range s.cacheOrder {
+		v.cache[i] = CacheEntry{Key: key, Result: s.cache[key]}
+	}
+	for i, id := range s.replicaOrder {
+		v.replicas[i] = s.replicas[id]
+	}
+	return v
+}
+
+// sealedState is what a rotation hands the compactor: the applied
+// state as of the seal, which is exactly the prior snapshot plus every
+// segment up to seq, and the sealed WAL volume (ops, size) a snapshot
+// of it retires.
+type sealedState struct {
+	seq  uint64
+	ops  int
+	size int64
+	view stateView
 }
 
 // walOp is one log line.
@@ -179,7 +223,7 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 		segs = []uint64{1}
 	}
 
-	snapSeq, err := readSnapshot(fs.path(snapshotFile), &fs.state, nil)
+	snapSeq, err := readSnapshot(fs.path(snapshotFile), &fs.state)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +261,7 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 	for i, seq := range live {
 		active := i == len(live)-1
 		path := fs.path(segmentName(seq))
-		ops, good, err := replaySegment(path, &fs.state, active, nil)
+		ops, good, err := replaySegment(path, &fs.state, active)
 		if err != nil {
 			return nil, err
 		}
@@ -260,14 +304,19 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 		fs.segments = 1
 	}
 
-	go fs.compactor()
 	if fs.segments > 1 {
 		// Sealed segments survived the restart (a crash beat the
-		// compactor, or deletes failed); fold them now.
-		fs.mu.Lock()
+		// compactor). Seal the active one too: the replayed state then
+		// covers exactly the sealed range, and the compactor folds it
+		// the same way it folds any rotation. No lock is needed: fs is
+		// not shared yet and the compactor has not started.
+		if err := fs.rotateLocked(); err != nil {
+			fs.wal.Close()
+			return nil, err
+		}
 		fs.kickCompactorLocked()
-		fs.mu.Unlock()
 	}
+	go fs.compactor()
 	return fs, nil
 }
 
@@ -319,7 +368,8 @@ func (s *memState) putJob(rec JobRecord) {
 	if _, ok := s.jobs[rec.ID]; !ok {
 		s.jobOrder = append(s.jobOrder, rec.ID)
 	}
-	s.jobs[rec.ID] = copyRecord(rec)
+	r := copyRecord(rec)
+	s.jobs[rec.ID] = &r
 }
 
 func (s *memState) delJob(id string) {
@@ -339,7 +389,7 @@ func (s *memState) putCache(key string, result json.RawMessage) {
 	if _, ok := s.cache[key]; !ok {
 		s.cacheOrder = append(s.cacheOrder, key)
 	}
-	s.cache[key] = CacheEntry{Key: key, Result: rawCopy(result)}
+	s.cache[key] = rawCopy(result)
 }
 
 func (s *memState) delCache(key string) {
@@ -359,7 +409,8 @@ func (s *memState) putReplica(rec JobRecord) {
 	if _, ok := s.replicas[rec.ID]; !ok {
 		s.replicaOrder = append(s.replicaOrder, rec.ID)
 	}
-	s.replicas[rec.ID] = copyRecord(rec)
+	r := copyRecord(rec)
+	s.replicas[rec.ID] = &r
 }
 
 func (s *memState) delReplica(id string) {
@@ -420,11 +471,12 @@ func (fs *FileStore) append(op walOp) error {
 	if err := op.validate(); err != nil {
 		return err // never fsync an op replay would choke on
 	}
-	line, err := json.Marshal(op)
+	line, err := appendWALOp(fs.line[:0], &op)
 	if err != nil {
 		return fmt.Errorf("store: encoding wal op: %w", err)
 	}
 	line = append(line, '\n')
+	fs.keepLine(line)
 	if _, err := fs.wal.Write(line); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
 		// A short write (ENOSPC, I/O error) may have left a line
 		// fragment; roll the file back to the last whole line so a later
@@ -467,21 +519,21 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 		return err
 	}
 	wops := make([]walOp, len(ops))
-	var buf bytes.Buffer
+	buf := fs.line[:0]
 	for i, op := range ops {
 		w := op.wal()
 		if err := w.validate(); err != nil {
 			return err // never fsync an op replay would choke on
 		}
-		line, err := json.Marshal(w)
-		if err != nil {
+		var err error
+		if buf, err = appendWALOp(buf, &w); err != nil {
 			return fmt.Errorf("store: encoding wal op: %w", err)
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		buf = append(buf, '\n')
 		wops[i] = w
 	}
-	if _, err := fs.wal.Write(buf.Bytes()); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
+	fs.keepLine(buf)
+	if _, err := fs.wal.Write(buf); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
 		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
 		return fmt.Errorf("store: appending wal batch: %w", err)
 	}
@@ -489,7 +541,7 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
 		return fmt.Errorf("store: syncing wal batch: %w", err)
 	}
-	fs.walSize += int64(buf.Len())
+	fs.walSize += int64(len(buf))
 	fs.walOps += len(wops)
 	var firstErr error
 	for _, w := range wops {
@@ -505,6 +557,14 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	}
 	fs.maybeCompactLocked() //nocmapvet:allow blockingunderlock segment rotation is metadata-only WAL-path IO under fs.mu by design; docs/STATIC_ANALYSIS.md#baselines
 	return nil
+}
+
+// keepLine holds on to an encode buffer for the next append, unless a
+// huge batch grew it past what is worth keeping. Callers hold fs.mu.
+func (fs *FileStore) keepLine(b []byte) {
+	if cap(b) <= 1<<20 {
+		fs.line = b
+	}
 }
 
 // rollbackLocked restores the active segment to its last known line
@@ -558,7 +618,10 @@ func (fs *FileStore) maybeCompactLocked() {
 // rotateLocked seals the active segment and opens the next one. The
 // new segment is created and the directory fsynced BEFORE the switch,
 // so an append acknowledged into it can never land in a file a crash
-// would un-create. Callers hold fs.mu.
+// would un-create. The seal hands the compactor the state applied so
+// far — every op in the sealed range, since a store that failed to
+// apply an fsynced op is read-only and never rotates again. Callers
+// hold fs.mu.
 func (fs *FileStore) rotateLocked() error {
 	next := fs.walSeq + 1
 	f, err := os.OpenFile(fs.path(segmentName(next)), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
@@ -578,6 +641,7 @@ func (fs *FileStore) rotateLocked() error {
 	fs.walOps = 0
 	fs.walSize = 0
 	fs.segments++
+	fs.sealed = &sealedState{seq: next - 1, ops: fs.sealedOps, size: fs.sealedSize, view: fs.state.view()}
 	// Every line in the sealed segment is already fsynced whole; the
 	// close releases the descriptor, nothing more.
 	old.Close()
@@ -587,14 +651,13 @@ func (fs *FileStore) rotateLocked() error {
 func (s *memState) snapshot() *Snapshot {
 	snap := &Snapshot{}
 	for _, id := range s.jobOrder {
-		snap.Jobs = append(snap.Jobs, copyRecord(s.jobs[id]))
+		snap.Jobs = append(snap.Jobs, copyRecord(*s.jobs[id]))
 	}
 	for _, key := range s.cacheOrder {
-		entry := s.cache[key]
-		snap.Cache = append(snap.Cache, CacheEntry{Key: key, Result: rawCopy(entry.Result)})
+		snap.Cache = append(snap.Cache, CacheEntry{Key: key, Result: rawCopy(s.cache[key])})
 	}
 	for _, id := range s.replicaOrder {
-		snap.Replicas = append(snap.Replicas, copyRecord(s.replicas[id]))
+		snap.Replicas = append(snap.Replicas, copyRecord(*s.replicas[id]))
 	}
 	return snap
 }

@@ -84,10 +84,8 @@ func listSegments(dir string) ([]uint64, error) {
 // signature of a crash mid-append) — it is skipped and the caller
 // truncates it away. Anywhere else, an undecodable line is real
 // corruption and fails loudly instead of silently discarding the
-// records behind it. pace, when non-nil, is called once per applied op
-// so a compaction-pass caller can keep the decode from monopolizing a
-// CPU (Open replays flat out and passes nil).
-func replaySegment(path string, state *memState, active bool, pace func()) (ops int, good int64, err error) {
+// records behind it.
+func replaySegment(path string, state *memState, active bool) (ops int, good int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, 0, nil
@@ -133,9 +131,6 @@ func replaySegment(path string, state *memState, active bool, pace func()) (ops 
 		}
 		ops++
 		good += advance
-		if pace != nil {
-			pace()
-		}
 	}
 }
 
@@ -143,9 +138,8 @@ func replaySegment(path string, state *memState, active bool, pace func()) (ops 
 // highest WAL segment the snapshot has folded (its wal_seq field; 0
 // for a missing file or a pre-segment snapshot). The decode is
 // token-streamed — one record in memory at a time, never the whole
-// multi-GB document in one buffer. pace, when non-nil, runs once per
-// decoded record (see replaySegment).
-func readSnapshot(path string, state *memState, pace func()) (walSeq uint64, err error) {
+// multi-GB document in one buffer.
+func readSnapshot(path string, state *memState) (walSeq uint64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, nil
@@ -179,9 +173,6 @@ func readSnapshot(path string, state *memState, pace func()) (walSeq uint64, err
 					return err
 				}
 				state.putJob(rec)
-				if pace != nil {
-					pace()
-				}
 				return nil
 			})
 		case "cache":
@@ -191,9 +182,6 @@ func readSnapshot(path string, state *memState, pace func()) (walSeq uint64, err
 					return err
 				}
 				state.putCache(entry.Key, entry.Result)
-				if pace != nil {
-					pace()
-				}
 				return nil
 			})
 		case "replicas":
@@ -203,9 +191,6 @@ func readSnapshot(path string, state *memState, pace func()) (walSeq uint64, err
 					return err
 				}
 				state.putReplica(rec)
-				if pace != nil {
-					pace()
-				}
 				return nil
 			})
 		default:
@@ -255,102 +240,62 @@ func decodeArray(dec *json.Decoder, elem func() error) error {
 	return expectDelim(dec, ']')
 }
 
-// snapshotWriter streams one snapshot document to w: the wal_seq
-// coverage watermark first, then each section as a JSON array written
-// record by record — the encoder never holds more than one record (plus
-// the bufio window) in memory, however large the state.
-type snapshotWriter struct {
-	w     *bufio.Writer
-	err   error
-	first bool
-}
-
-func newSnapshotWriter(w io.Writer, walSeq uint64) *snapshotWriter {
-	sw := &snapshotWriter{w: bufio.NewWriterSize(w, 256<<10)}
-	fmt.Fprintf(sw.w, `{"wal_seq":%d`, walSeq)
-	return sw
-}
-
-func (sw *snapshotWriter) section(name string) {
-	if sw.err != nil {
-		return
-	}
-	_, sw.err = fmt.Fprintf(sw.w, `,%q:[`, name)
-	sw.first = true
-}
-
-func (sw *snapshotWriter) endSection() {
-	if sw.err != nil {
-		return
-	}
-	_, sw.err = sw.w.WriteString("]")
-}
-
-func (sw *snapshotWriter) record(v any) {
-	if sw.err != nil {
-		return
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		sw.err = err
-		return
-	}
-	if !sw.first {
-		if sw.err = sw.w.WriteByte(','); sw.err != nil {
-			return
-		}
-	}
-	sw.first = false
-	if sw.err = sw.w.WriteByte('\n'); sw.err != nil {
-		return
-	}
-	_, sw.err = sw.w.Write(data)
-}
-
-// close finishes the document and flushes the buffer.
-func (sw *snapshotWriter) close() error {
-	if sw.err == nil {
-		_, sw.err = sw.w.WriteString("}\n")
-	}
-	if sw.err == nil {
-		sw.err = sw.w.Flush()
-	}
-	return sw.err
-}
-
-// writeSnapshot streams state to path (created fresh) with walSeq as
-// the coverage watermark, fsyncs it and closes it. throttle, when
-// non-nil, is called once per record — the bench and crash suites use
-// it to stretch a compaction over a controlled wall-clock window.
-func writeSnapshot(path string, walSeq uint64, state *memState, throttle func()) error {
+// writeSnapshot streams view to path (created fresh) with walSeq as
+// the coverage watermark — the wal_seq field first, then each section
+// as a JSON array written record by record, so only one record (plus
+// the bufio window) is ever encoded in memory — then fsyncs and closes
+// it. throttle, when non-nil, is called once per record: the compactor
+// paces the encode with it, and the bench and crash suites stretch a
+// compaction over a controlled wall-clock window.
+func writeSnapshot(path string, walSeq uint64, view *stateView, throttle func()) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot: %w", err)
 	}
-	sw := newSnapshotWriter(f, walSeq)
-	emit := func(v any) {
-		sw.record(v)
-		if throttle != nil {
-			throttle()
+	// bufio.Writer errors are sticky: checking each record's Write (to
+	// stop early) and the final Flush covers every write.
+	w := bufio.NewWriterSize(f, 256<<10)
+	var rec []byte
+	section := func(name string, n int, encode func(dst []byte, i int) ([]byte, error)) error {
+		fmt.Fprintf(w, `,%q:[`, name)
+		for i := 0; i < n; i++ {
+			rec = rec[:0]
+			if i > 0 {
+				rec = append(rec, ',')
+			}
+			var err error
+			if rec, err = encode(append(rec, '\n'), i); err != nil {
+				return err
+			}
+			if _, err := w.Write(rec); err != nil {
+				return err
+			}
+			if throttle != nil {
+				throttle()
+			}
 		}
+		w.WriteByte(']')
+		return nil
 	}
-	sw.section("jobs")
-	for _, id := range state.jobOrder {
-		emit(state.jobs[id])
+	fmt.Fprintf(w, `{"wal_seq":%d`, walSeq)
+	err = section("jobs", len(view.jobs), func(dst []byte, i int) ([]byte, error) {
+		return appendJobRecord(dst, view.jobs[i])
+	})
+	if err == nil {
+		err = section("cache", len(view.cache), func(dst []byte, i int) ([]byte, error) {
+			return appendCacheEntry(dst, &view.cache[i])
+		})
 	}
-	sw.endSection()
-	sw.section("cache")
-	for _, key := range state.cacheOrder {
-		entry := state.cache[key]
-		emit(CacheEntry{Key: key, Result: entry.Result})
+	if err == nil {
+		err = section("replicas", len(view.replicas), func(dst []byte, i int) ([]byte, error) {
+			return appendJobRecord(dst, view.replicas[i])
+		})
 	}
-	sw.endSection()
-	sw.section("replicas")
-	for _, id := range state.replicaOrder {
-		emit(state.replicas[id])
+	if err == nil {
+		w.WriteString("}\n")
+		err = w.Flush()
 	}
-	sw.endSection()
-	if err := sw.close(); err != nil {
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
