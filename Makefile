@@ -49,10 +49,10 @@ bench-gate:
 # Service-level load benchmark: boot a durable nocmapd, drive it with
 # cmd/nocmapload at a sustained seeded request rate, and record jobs/sec
 # + P50/P85/P99 into BENCH.json's "service" section — once per store
-# mode, so the async group-commit writer and the fsync-per-record
-# baseline are always measured side by side (behind a 1ms injected
-# fsync latency; see scripts/bench_service.sh). Tunables match the
-# script.
+# mode, so the batched flusher (one fsync per batch) and the
+# fsync-per-record baseline are always measured side by side (behind a
+# 1ms injected fsync latency; see scripts/bench_service.sh). Tunables
+# match the script.
 SERVICE_RPS ?= 900
 SERVICE_DURATION ?= 5s
 bench-service:

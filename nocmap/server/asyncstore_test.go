@@ -1,8 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -37,14 +41,14 @@ func (b *batchCountingStore) snapshotBatches() [][]store.Op {
 	return out
 }
 
-// slowAsyncStore builds the slow-disk fixture: a group-commit writer
-// over a FaultStore that charges `latency` per durability barrier.
-func slowAsyncStore(t *testing.T, latency time.Duration) (*store.GroupCommitStore, *store.MemStore) {
+// slowAsyncStore builds the slow-disk fixture: a FaultStore that
+// charges `latency` per durability barrier (per flushed batch).
+func slowAsyncStore(t *testing.T, latency time.Duration) (*store.FaultStore, *store.MemStore) {
 	t.Helper()
 	mem := store.NewMemStore()
 	fault := store.NewFaultStore(mem)
 	fault.SetLatency(latency)
-	return store.NewGroupCommit(fault, store.GroupCommitConfig{}), mem
+	return fault, mem
 }
 
 // TestReplicatedAckImpliesLocalFsync is the durability-class regression
@@ -57,9 +61,9 @@ func TestReplicatedAckImpliesLocalFsync(t *testing.T) {
 	_, follower := newConfiguredServer(t, server.Config{
 		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: store.NewMemStore(),
 	})
-	gcs, mem := slowAsyncStore(t, 100*time.Millisecond)
+	slow, mem := slowAsyncStore(t, 100*time.Millisecond)
 	_, primary := newConfiguredServer(t, server.Config{
-		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", Store: gcs,
+		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", Store: slow,
 		ReplicaTargets: []string{follower.URL},
 	})
 
@@ -76,8 +80,8 @@ func TestReplicatedAckImpliesLocalFsync(t *testing.T) {
 		t.Fatalf("status durability = %q, want %q", st.Durability, server.DurabilityReplicated)
 	}
 	// The moment the ack is in hand, the terminal record must already be
-	// on the (slow) disk — read the innermost store directly, bypassing
-	// the async writer whose queue an unsynced record would hide in.
+	// on the (slow) disk — read the innermost store directly, under the
+	// fault layer whose latency an unsynced record would still be paying.
 	snap, err := mem.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +103,9 @@ func TestReplicatedAckImpliesLocalFsync(t *testing.T) {
 // reads never queue behind an fsync (the old under-lock store write
 // path serialized exactly this).
 func TestSlowDiskDoesNotBlockReads(t *testing.T) {
-	gcs, _ := slowAsyncStore(t, 250*time.Millisecond)
+	slow, _ := slowAsyncStore(t, 250*time.Millisecond)
 	svc, ts := newConfiguredServer(t, server.Config{
-		Pool: 1, QueueSize: 8, CacheSize: 8, Store: gcs,
+		Pool: 1, QueueSize: 8, CacheSize: 8, Store: slow,
 	})
 	resp, got := post(t, ts.URL+"/v1/solve",
 		submitBody(t, tinyProblemJSON(t, "slow-disk-reads"), server.SolveSpec{}))
@@ -136,17 +140,16 @@ func TestSlowDiskDoesNotBlockReads(t *testing.T) {
 func TestReplayEvictionFlushesOnce(t *testing.T) {
 	const seeded, retention = 30, 8
 	bs := &batchCountingStore{MemStore: store.NewMemStore()}
+	var recs []store.JobRecord
 	for i := 0; i < seeded; i++ {
-		rec := store.JobRecord{
+		recs = append(recs, store.JobRecord{
 			ID:    "p0-job-" + string(rune('a'+i/10)) + string(rune('a'+i%10)),
 			Key:   "key",
 			State: store.StateDone,
 			Seq:   uint64(i + 1),
-		}
-		if err := bs.PutJob(rec); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
+	seedJobs(t, bs, recs...)
 	bs.mu.Lock()
 	bs.batches = nil // forget the seeding writes; count only the server's
 	bs.mu.Unlock()
@@ -224,4 +227,146 @@ func TestStoreBackpressure429(t *testing.T) {
 			submitBody(t, tinyProblemJSON(t, "bp-third"), server.SolveSpec{}))
 		return resp.StatusCode == http.StatusAccepted
 	})
+}
+
+// TestCloseDrainsToDisk pins the shutdown contract: once Server.Close
+// returns, every record the server decided is in the store, even with
+// each flushed batch paying 50ms on a slow disk.
+func TestCloseDrainsToDisk(t *testing.T) {
+	fs, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	slow := store.NewFaultStore(fs)
+	slow.SetLatency(50 * time.Millisecond)
+	svc, ts := newConfiguredServer(t, server.Config{Pool: 1, QueueSize: 16, CacheSize: 16, Store: slow})
+	var ids []string
+	for i := 0; i < 6; i++ {
+		ids = append(ids, submitE2E(t, ts.URL, submitBody(t, tinyProblemJSON(t, fmt.Sprintf("close-drain-%d", i)), server.SolveSpec{})))
+	}
+	svc.Close()
+	if pending := svc.Stats().StorePending; pending != 0 {
+		t.Fatalf("StorePending = %d after Close", pending)
+	}
+
+	snap, err := fs.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	persisted := make(map[string]string)
+	for _, rec := range snap.Jobs {
+		persisted[rec.ID] = rec.State
+	}
+	for _, id := range ids {
+		st := jobStatusE2E(t, ts.URL, id)
+		if !store.Terminal(st.State) || persisted[id] != st.State {
+			t.Fatalf("job %s: server decided %q, store holds %q after Close", id, st.State, persisted[id])
+		}
+	}
+}
+
+// TestWALOrderIsOutboxOrder pins the FIFO contract under concurrent
+// submitters: the WAL holds job records in exactly the order the server
+// decided them under its lock. Two per-record counters taken in that
+// lock show it: the ID highwater (Minted) never decreases along the
+// WAL, and terminal Seqs strictly increase. Each submitter's jobs also
+// reach the WAL in its submission order, queued before terminal.
+func TestWALOrderIsOutboxOrder(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	svc, ts := newConfiguredServer(t, server.Config{Pool: 2, QueueSize: 64, CacheSize: 64, Store: fs})
+
+	const submitters, perSubmitter = 4, 8
+	submitted := make([][]string, submitters)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				body := submitBody(t, tinyProblemJSON(t, fmt.Sprintf("fifo-%d-%d", g, i)), server.SolveSpec{})
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var st server.JobStatus
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusAccepted {
+					t.Errorf("submit %d/%d: status %d, err %v", g, i, resp.StatusCode, err)
+					return
+				}
+				submitted[g] = append(submitted[g], st.ID)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, ids := range submitted {
+		for _, id := range ids {
+			waitState(t, ts.URL, id, server.StateDone)
+		}
+	}
+	svc.Close()
+
+	segs, err := filepath.Glob(filepath.Join(dir, "wal.*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wal []store.JobRecord
+	for _, seg := range segs { // zero-padded names: lexical order is WAL order
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var op struct {
+				Op  string           `json:"op"`
+				Job *store.JobRecord `json:"job"`
+			}
+			if err := json.Unmarshal(line, &op); err != nil {
+				t.Fatalf("wal line %q: %v", line, err)
+			}
+			if op.Op == string(store.OpPutJob) {
+				wal = append(wal, *op.Job)
+			}
+		}
+	}
+	if want := 2 * submitters * perSubmitter; len(wal) != want {
+		t.Fatalf("wal holds %d job records, want %d (queued + done per job)", len(wal), want)
+	}
+	var minted, seq uint64
+	first := make(map[string]int) // ID -> WAL index of its first record
+	for i, rec := range wal {
+		if rec.Minted < minted {
+			t.Fatalf("wal record %d (%s) minted %d after %d: out of outbox order", i, rec.ID, rec.Minted, minted)
+		}
+		minted = rec.Minted
+		if store.Terminal(rec.State) {
+			if rec.Seq <= seq {
+				t.Fatalf("wal record %d (%s) seq %d after %d: out of outbox order", i, rec.ID, rec.Seq, seq)
+			}
+			seq = rec.Seq
+			if _, ok := first[rec.ID]; !ok {
+				t.Fatalf("job %s reached the wal terminal before queued", rec.ID)
+			}
+		} else if _, ok := first[rec.ID]; !ok {
+			first[rec.ID] = i
+		}
+	}
+	for g, ids := range submitted {
+		for i := 1; i < len(ids); i++ {
+			if first[ids[i]] <= first[ids[i-1]] {
+				t.Fatalf("submitter %d: %s reached the wal before %s", g, ids[i], ids[i-1])
+			}
+		}
+	}
 }

@@ -27,19 +27,15 @@ import (
 //     their original IDs,
 //   - /v1/stats exposes the recovered/restored counters.
 //
-// It runs once per -store-mode: "group" (the async group-commit
-// default) and "sync" (the fsync-per-record baseline) must make the
-// same recovery promises.
+// It runs once per -store-mode: "group" (the default: one fsync per
+// batch the flusher drains) and "sync" (the fsync-per-record baseline)
+// must make the same recovery promises.
 func TestCrashRecoveryE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real nocmapd processes")
 	}
 	workdir := t.TempDir()
-	bin := filepath.Join(workdir, "nocmapd")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/nocmapd")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building nocmapd: %v\n%s", err, out)
-	}
+	bin := buildNocmapd(t, workdir)
 	for _, mode := range []string{"group", "sync"} {
 		t.Run(mode, func(t *testing.T) {
 			crashRecoveryE2E(t, bin, workdir, mode)
@@ -137,6 +133,81 @@ func crashRecoveryE2E(t *testing.T, bin, workdir, mode string) {
 			t.Fatalf("re-run job %s finished without a result", id)
 		}
 	}
+}
+
+// TestStoreQueueFlagE2E pins that nocmapd's -store-queue flag is the
+// bound of the store write-behind window: with room for one pending op
+// and every fsync 300ms slow, concurrent submissions behind the first
+// are shed with the store's 429, and submissions succeed again once the
+// disk drains.
+func TestStoreQueueFlagE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a real nocmapd process")
+	}
+	workdir := t.TempDir()
+	bin := buildNocmapd(t, workdir)
+	args := []string{"-addr", "127.0.0.1:0", "-store", filepath.Join(workdir, "store"),
+		"-store-queue", "1", "-store-fault", "latency=300ms", "-pool", "1", "-queue", "32"}
+	cmd, base := startNocmapd(t, bin, args, filepath.Join(workdir, "nocmapd.log"))
+	defer func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		cmd.Wait()
+	}()
+
+	type answer struct {
+		status int
+		body   []byte
+	}
+	const n = 4
+	answers := make(chan answer, n)
+	for i := 0; i < n; i++ {
+		body := quickBody(t, i)
+		go func() {
+			resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				answers <- answer{status: -1, body: []byte(err.Error())}
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			answers <- answer{status: resp.StatusCode, body: buf.Bytes()}
+		}()
+	}
+	shed := 0
+	for i := 0; i < n; i++ {
+		a := <-answers
+		if a.status == http.StatusAccepted {
+			continue
+		}
+		var envelope struct {
+			Error server.ErrorPayload `json:"error"`
+		}
+		if a.status != http.StatusTooManyRequests || json.Unmarshal(a.body, &envelope) != nil ||
+			envelope.Error.Code != server.CodeQueueFull ||
+			!regexp.MustCompile(`^store write-behind full \(\d+ ops pending\)$`).MatchString(envelope.Error.Message) {
+			t.Fatalf("submission answered %d %s, want 202 or the store write-behind 429", a.status, a.body)
+		}
+		shed++
+	}
+	if shed == 0 {
+		t.Fatalf("no submission of %d was shed with -store-queue 1 behind a 300ms fsync", n)
+	}
+	waitFor(t, "a submission to be admitted once the disk drains", func() bool {
+		resp, _ := post(t, base+"/v1/jobs", quickBody(t, n))
+		return resp.StatusCode == http.StatusAccepted
+	})
+}
+
+// buildNocmapd builds the nocmapd binary into dir.
+func buildNocmapd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "nocmapd")
+	build := exec.Command("go", "build", "-o", bin, "repro/cmd/nocmapd")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building nocmapd: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // startNocmapd boots the binary, tees its log to path and waits for the

@@ -48,9 +48,9 @@ func (s *Server) recordOf(j *job, seq uint64) store.JobRecord {
 // keeps serving with best-effort durability) and the ring successor's
 // replica namespace (if a replication target is set; the push is async,
 // from memory, so store faults cannot poison it). Neither path blocks:
-// the record becomes durable when the flusher and the store's writer
-// get to it, which is what syncStore and the durability classes wait
-// on. Callers hold s.mu.
+// the record becomes durable when the flusher's batch carrying it is
+// fsynced, which is what syncStore and the durability classes wait on.
+// Callers hold s.mu.
 func (s *Server) persistJob(j *job) {
 	rec := s.recordOf(j, j.seq)
 	if s.cfg.Store != nil {

@@ -130,14 +130,7 @@ func TestReplayReenqueuesInterruptedJobs(t *testing.T) {
 		"job-00000004": store.StateQueued,
 		"job-00000007": store.StateRunning,
 	} {
-		if err := ms.PutJob(store.JobRecord{
-			ID:      id,
-			Problem: problem,
-			Spec:    spec,
-			State:   state,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		seedJobs(t, ms, store.JobRecord{ID: id, Problem: problem, Spec: spec, State: state})
 	}
 	svc, err := server.New(server.Config{Pool: 1, QueueSize: 8, CacheSize: 8, Store: ms})
 	if err != nil {
@@ -364,32 +357,28 @@ func TestProfileFastAppliesDefaults(t *testing.T) {
 // TestStatsSurfaceCompaction pins the compaction observability: the
 // server's stats expose the backing FileStore's compactions /
 // compact_running / segments counters, reached by unwrapping the store
-// wrapper chain (here group commit over the file store).
+// wrapper chain (here a fault store over the file store).
 func TestStatsSurfaceCompaction(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := store.OpenConfig(dir, store.FileConfig{CompactOps: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := store.NewGroupCommit(fs, store.GroupCommitConfig{})
-	svc, err := server.New(server.Config{Pool: 1, QueueSize: 8, CacheSize: 8, Store: g})
+	fault := store.NewFaultStore(fs)
+	svc, err := server.New(server.Config{Pool: 1, QueueSize: 8, CacheSize: 8, Store: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	defer g.Close()
+	defer fault.Close()
 
 	// Churn one record far past the trigger through the same store the
 	// server persists to, then wait for the pass to publish.
+	var churn []store.JobRecord
 	for i := 0; i < 48; i++ {
-		rec := store.JobRecord{ID: "churn", Key: "churn", State: store.StateDone, Seq: uint64(i + 1)}
-		if err := g.PutJob(rec); err != nil {
-			t.Fatal(err)
-		}
+		churn = append(churn, store.JobRecord{ID: "churn", Key: "churn", State: store.StateDone, Seq: uint64(i + 1)})
 	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	seedJobs(t, fault, churn...)
 	deadline := time.Now().Add(10 * time.Second)
 	for fs.CompactionStats().Compactions == 0 || fs.CompactionStats().Running {
 		if time.Now().After(deadline) {
@@ -403,6 +392,19 @@ func TestStatsSurfaceCompaction(t *testing.T) {
 	}
 	if st.StoreSegments == 0 {
 		t.Fatalf("stats did not surface the segment count: %+v", st)
+	}
+}
+
+// seedJobs writes recs to s as one batch through its one write path,
+// ApplyOps — the shared helper server tests seed stores with.
+func seedJobs(t *testing.T, s store.JobStore, recs ...store.JobRecord) {
+	t.Helper()
+	ops := make([]store.Op, len(recs))
+	for i := range recs {
+		ops[i] = store.Op{Kind: store.OpPutJob, Rec: &recs[i]}
+	}
+	if err := s.ApplyOps(ops); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -189,10 +189,12 @@ type Server struct {
 	// serialized them. This is what keeps every store write — and its
 	// fsync — off the API's critical section: a slow disk now delays
 	// durability acknowledgments, never submissions or status reads.
+	// The flusher hands each drained batch to Store.ApplyOps, so one
+	// fsync covers everything that piled up behind the previous one.
 	// All guarded by mu; outCond wakes the flusher.
 	outbox     []store.Op
 	outSeq     uint64 // ops ever enqueued to the outbox
-	outFlushed uint64 // ops the flusher has handed to the store
+	outFlushed uint64 // ops the store has settled: fsynced, or failed and counted
 	outWaiters []outWaiter
 	outClosed  bool
 	outCond    *sync.Cond
@@ -201,18 +203,11 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// outWaiter parks a syncStore caller until the flusher has handed the
-// op it is waiting on to the store.
+// outWaiter parks a syncStore caller until the store has settled the
+// op it is waiting on.
 type outWaiter struct {
 	target uint64
 	ch     chan struct{}
-}
-
-// storeSyncer is the durability-barrier hook an async store exposes
-// (store.GroupCommitStore.Sync): syncStore calls it so "flushed from the
-// outbox" becomes "fsynced on disk" before any watermark advances.
-type storeSyncer interface {
-	Sync(ctx context.Context) error
 }
 
 // ackWaiter carries the two acknowledgment edges a durable submission
@@ -257,12 +252,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.outCond = sync.NewCond(&s.mu)
-	if gcs, ok := s.cfg.Store.(*store.GroupCommitStore); ok {
-		// Async-store failures surface on the writer goroutine; route
-		// them back so StoreErrors counts them and failed replica puts
-		// are marked dirty before any watermark can vouch for them.
-		gcs.SetOnError(s.storeOpFailed)
-	}
 	if s.cfg.Store != nil {
 		if err := s.replay(); err != nil {
 			return nil, err
@@ -302,9 +291,9 @@ func (s *Server) Info() Info {
 
 // Close stops accepting jobs, cancels everything queued or running,
 // waits for the workers to drain, then drains the persistence outbox —
-// every state change decided before Close returns has been handed to
-// the store (callers owning an async store still Close it to fsync the
-// tail). Queued jobs finish cancelled without a result; running jobs
+// every state change decided before Close returns is on disk (or
+// counted in Stats.StoreErrors). Closing the store stays with its
+// owner. Queued jobs finish cancelled without a result; running jobs
 // finish cancelled with their partial result.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -347,12 +336,6 @@ func (s *Server) Stats() Stats {
 	st.StorePending = int(s.outSeq - s.outFlushed) // outbox + the flusher's in-flight batch
 	termSeq := s.termSeq
 	s.mu.Unlock()
-	if gcs, ok := s.cfg.Store.(*store.GroupCommitStore); ok {
-		// Include the async writer's own queue: the full write-behind
-		// window a crash at this instant would lose.
-		enq, durable := gcs.Watermark()
-		st.StorePending += int(enq - durable)
-	}
 	if fs := backingFileStore(s.cfg.Store); fs != nil {
 		cs := fs.CompactionStats()
 		st.Compactions = cs.Compactions
@@ -377,9 +360,9 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// backingFileStore walks the store wrapper chain (group commit, fault
-// injection, the sync-mode shim, ...) via Unwrap down to the durable
-// *store.FileStore, or nil when persistence is memory-only or absent.
+// backingFileStore walks the store wrapper chain (fault injection, the
+// sync-mode shim, ...) via Unwrap down to the durable *store.FileStore,
+// or nil when persistence is memory-only or absent.
 func backingFileStore(js store.JobStore) *store.FileStore {
 	for js != nil {
 		if fs, ok := js.(*store.FileStore); ok {
@@ -479,7 +462,9 @@ func (s *Server) enqueueOpLocked(op store.Op) {
 // persistLoop is the flusher goroutine: it drains the outbox in FIFO
 // order and applies each drained batch to the store with no lock held.
 // Everything that accumulated while the previous batch was writing
-// flushes as one batch — group commit forms naturally under load.
+// flushes as one batch — group commit forms naturally under load. A
+// batch counts as flushed only once the store has settled it, so
+// outFlushed never runs ahead of the disk.
 func (s *Server) persistLoop() {
 	defer s.flushWG.Done()
 	for {
@@ -513,30 +498,25 @@ func (s *Server) persistLoop() {
 }
 
 // applyStoreOps hands one outbox batch to the store, outside every
-// server lock. Batch-capable stores take it whole (one durability
-// barrier — or one queue append for an async store); on a batch error,
-// or for plain stores, the ops run one by one so a single bad op cannot
-// condemn the records around it.
+// server lock, under one durability barrier. On a batch error the store
+// has rolled the batch back, so the ops are retried one by one: a single
+// bad op cannot condemn the records around it.
 func (s *Server) applyStoreOps(batch []store.Op) {
-	if bs, ok := s.cfg.Store.(store.BatchStore); ok {
-		if err := bs.ApplyOps(batch); err == nil {
-			return
-		}
-		// The store rolled the batch back; retry op by op to isolate
-		// the failure.
+	if err := s.cfg.Store.ApplyOps(batch); err == nil {
+		return
 	}
 	for _, op := range batch {
-		if err := store.ApplyOp(s.cfg.Store, op); err != nil {
+		if err := s.cfg.Store.ApplyOps([]store.Op{op}); err != nil {
 			s.storeOpFailed(op, err)
 		}
 	}
 }
 
-// storeOpFailed is the shared failure sink for the async write path: the
-// flusher's per-op fallback and an async store's writer (via
-// GroupCommitStore.SetOnError) both land here, off every lock. Failures
-// are counted, and a failed replica put marks the record dirty so no
-// durability watermark vouches for it until a later write heals it.
+// storeOpFailed is the failure sink for the flusher's op-by-op retry.
+// It runs off every lock and before the batch's outFlushed advance.
+// Failures are counted, and a failed replica put marks the record dirty
+// so no durability watermark vouches for it until a later write heals
+// it.
 func (s *Server) storeOpFailed(op store.Op, err error) {
 	_ = err // the stats counter is the signal; the server keeps serving
 	s.mu.Lock()
@@ -558,9 +538,8 @@ func (s *Server) storeTicket() uint64 {
 	return s.outSeq
 }
 
-// syncStore blocks until the flusher has handed every op up to ticket
-// to the store and — when the store is an async writer exposing a Sync
-// barrier — until those ops are durable on disk. This is the bridge
+// syncStore blocks until the store has settled every op up to ticket:
+// fsynced, or failed and passed to storeOpFailed. This is the bridge
 // from "enqueued" to "persisted" that durability acks and replication
 // watermarks key off.
 func (s *Server) syncStore(ctx context.Context, ticket uint64) error {
@@ -568,22 +547,19 @@ func (s *Server) syncStore(ctx context.Context, ticket uint64) error {
 		return nil
 	}
 	s.mu.Lock()
-	if s.outFlushed < ticket {
-		w := outWaiter{target: ticket, ch: make(chan struct{})}
-		s.outWaiters = append(s.outWaiters, w)
+	if s.outFlushed >= ticket {
 		s.mu.Unlock()
-		select {
-		case <-w.ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	} else {
-		s.mu.Unlock()
+		return nil
 	}
-	if sy, ok := s.cfg.Store.(storeSyncer); ok {
-		return sy.Sync(ctx)
+	w := outWaiter{target: ticket, ch: make(chan struct{})}
+	s.outWaiters = append(s.outWaiters, w)
+	s.mu.Unlock()
+	select {
+	case <-w.ch:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return nil
 }
 
 // registerLocked admits an accepted job: rejected submissions (queue
@@ -632,11 +608,10 @@ func (s *Server) replicationAcked(target string, acks []repAck) {
 
 // awaitDurable implements the replicated durability class: hold the
 // submission ack until the job's record is BOTH settled on the local
-// store — flushed through the outbox and past the async writer's fsync
-// barrier, so the ack can never leapfrog a record still sitting in the
-// commit queue — and acknowledged by a follower (terminal=false waits
-// for any record — the async submit ack; terminal=true waits for a
-// terminal one — the sync solve ack). The whole wait is bounded by
+// store — flushed through the outbox and fsynced, so the ack can never
+// leapfrog a record still sitting in the outbox — and acknowledged by a
+// follower (terminal=false waits for any record — the async submit ack;
+// terminal=true waits for a terminal one — the sync solve ack). The whole wait is bounded by
 // Config.DurableAckWait and the caller's ctx; with no replication
 // targets it degrades immediately. Returns the outcome for the
 // X-Nocmap-Durability header.

@@ -357,10 +357,10 @@ type Stats struct {
 	// degradation observable.
 	StoreErrors uint64 `json:"store_errors"`
 	// StorePending is the write-behind depth of the async persistence
-	// path at the snapshot instant: outbox ops not yet handed to the
-	// store plus, for a group-commit store, ops its writer has not yet
-	// fsynced. This is the window a crash right now would lose for
-	// plain (non-replicated) durability.
+	// path at the snapshot instant: store ops enqueued but not yet
+	// fsynced (the outbox plus the batch the flusher is writing). This
+	// is the window a crash right now would lose for plain
+	// (non-replicated) durability.
 	StorePending int `json:"store_pending,omitempty"`
 	// Compactions / CompactRunning / StoreSegments surface the backing
 	// FileStore's WAL compaction machinery (found by unwrapping the

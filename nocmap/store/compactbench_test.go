@@ -114,7 +114,7 @@ func TestAppendLatencyDuringCompaction(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rec := irec(fmt.Sprintf("bench-%s", phase), uint64(i+1), `{"r":1}`)
 			start := time.Now()
-			if err := fs.PutJob(rec); err != nil {
+			if err := Apply(fs, PutJob(rec)); err != nil {
 				t.Fatalf("%s append %d: %v", phase, i, err)
 			}
 			lats = append(lats, float64(time.Since(start).Microseconds()))
@@ -156,7 +156,7 @@ func TestAppendLatencyDuringCompaction(t *testing.T) {
 		}
 		rec := irec("bench-during", uint64(i+1), `{"r":1}`)
 		start := time.Now()
-		if err := fs.PutJob(rec); err != nil {
+		if err := Apply(fs, PutJob(rec)); err != nil {
 			t.Fatalf("during append %d: %v", i, err)
 		}
 		if fs.CompactionStats().Running { // attribute only fully-inside samples

@@ -74,10 +74,10 @@ func TestStoreCompactionCrash(t *testing.T) {
 				}
 			}
 			// The recovered store keeps working.
-			if err := fs.PutJob(JobRecord{ID: "post-crash", Key: "k", State: StateDone, Seq: 1}); err != nil {
+			if err := Apply(fs, PutJob(JobRecord{ID: "post-crash", Key: "k", State: StateDone, Seq: 1})); err != nil {
 				t.Fatalf("append after recovery: %v", err)
 			}
-			if err := fs.DeleteJob("post-crash"); err != nil {
+			if err := Apply(fs, DeleteJob("post-crash")); err != nil {
 				t.Fatal(err)
 			}
 			if err := fs.Close(); err != nil {
@@ -154,7 +154,7 @@ func TestStoreCompactionCrashHelper(t *testing.T) {
 			Result: json.RawMessage(
 				fmt.Sprintf(`{"round":%d,"pad":"0123456789abcdef0123456789abcdef"}`, i)),
 		}
-		if err := fs.PutJob(rec); err != nil {
+		if err := Apply(fs, PutJob(rec)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}

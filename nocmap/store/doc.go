@@ -9,7 +9,11 @@
 // queryable history again, queued and running jobs are re-enqueued and
 // solved anew, and the cache is re-warmed.
 //
-// Two implementations ship: MemStore (in-memory, for tests and
-// process-lifetime replay) and FileStore (an fsynced append-only WAL
-// compacted into a snapshot, surviving SIGKILL at any instant).
+// Every write is a batch of Ops handed to ApplyOps, the one write
+// path: the server's flusher passes each batch it drained from its
+// outbox straight through, so a batch costs one fsync however many
+// records it carries. Two implementations ship: MemStore (in-memory,
+// for tests and process-lifetime replay) and FileStore (an fsynced
+// append-only WAL compacted into a snapshot, surviving SIGKILL at any
+// instant). FaultStore wraps either to inject disk faults per batch.
 package store

@@ -93,7 +93,7 @@ func TestInvalidRawFieldRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := irec("job-bad", 1, `{"cost":`)
-	if err := fs.PutJob(bad); err == nil {
+	if err := Apply(fs, PutJob(bad)); err == nil {
 		t.Fatal("PutJob accepted a result that is not JSON")
 	}
 	if err := fs.ApplyOps([]Op{{Kind: OpPutJob, Rec: &bad}}); err == nil {
@@ -134,7 +134,7 @@ func TestRawFieldRewrittenLikeMarshal(t *testing.T) {
 		}
 		want = append(append(want, line...), '\n')
 		if i == 0 {
-			err = fs.PutJob(r)
+			err = Apply(fs, PutJob(r))
 		} else {
 			err = fs.ApplyOps([]Op{{Kind: OpPutJob, Rec: &r}})
 		}
@@ -226,7 +226,7 @@ func TestPoisonedStoreNeverPublishesUnappliedOp(t *testing.T) {
 	// One job overwritten over and over: the op trigger needs a log
 	// well past the live record count.
 	for i := 0; i < trigger; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), `{"r":1}`)); err != nil {
+		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), `{"r":1}`))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestPoisonedStoreNeverPublishesUnappliedOp(t *testing.T) {
 	// Fill the new active segment up to one op short of its own trigger;
 	// the poisoned op is the one that would rotate it.
 	for i := trigger; i < 2*trigger-1; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), `{"r":1}`)); err != nil {
+		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), `{"r":1}`))); err != nil {
 			t.Fatal(err)
 		}
 	}

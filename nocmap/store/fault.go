@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -90,8 +89,12 @@ func (f *FaultStore) Injected() uint64 {
 	return f.injected
 }
 
-// do runs one mutating op through the fault dials.
-func (f *FaultStore) do(op func() error) error {
+// ApplyOps implements JobStore. The whole batch counts as ONE mutating
+// op against the fault dials — faults are modeled at fsync
+// granularity, which is exactly what a batched commit is. A non-torn
+// fault fails the batch before it reaches the inner store; a torn fault
+// applies it first and loses the acknowledgment.
+func (f *FaultStore) ApplyOps(ops []Op) error {
 	f.mu.Lock()
 	delay := f.latency
 	f.ops++
@@ -114,7 +117,7 @@ func (f *FaultStore) do(op func() error) error {
 	if fail && !torn {
 		return ErrInjected
 	}
-	err := op()
+	err := f.inner.ApplyOps(ops)
 	if fail {
 		if err != nil {
 			return fmt.Errorf("%w (and inner: %v)", ErrInjected, err)
@@ -122,85 +125,6 @@ func (f *FaultStore) do(op func() error) error {
 		return ErrInjected
 	}
 	return err
-}
-
-// PutJob implements JobStore.
-func (f *FaultStore) PutJob(rec JobRecord) error {
-	return f.do(func() error { return f.inner.PutJob(rec) })
-}
-
-// DeleteJob implements JobStore.
-func (f *FaultStore) DeleteJob(id string) error {
-	return f.do(func() error { return f.inner.DeleteJob(id) })
-}
-
-// PutCache implements JobStore.
-func (f *FaultStore) PutCache(key string, result json.RawMessage) error {
-	return f.do(func() error { return f.inner.PutCache(key, result) })
-}
-
-// DeleteCache implements JobStore.
-func (f *FaultStore) DeleteCache(key string) error {
-	return f.do(func() error { return f.inner.DeleteCache(key) })
-}
-
-// PutReplica implements JobStore.
-func (f *FaultStore) PutReplica(rec JobRecord) error {
-	return f.do(func() error { return f.inner.PutReplica(rec) })
-}
-
-// DeleteReplica implements JobStore.
-func (f *FaultStore) DeleteReplica(id string) error {
-	return f.do(func() error { return f.inner.DeleteReplica(id) })
-}
-
-// ApplyOps implements BatchStore. The whole batch counts as ONE
-// mutating op against the fault dials — faults are modeled at fsync
-// granularity, which is exactly what a batched commit is. A non-torn
-// fault fails the batch before it reaches the inner store; a torn fault
-// applies it first and loses the acknowledgment. When the inner store
-// has no batch fast path the ops are applied one by one inside the
-// single fault window.
-func (f *FaultStore) ApplyOps(ops []Op) error {
-	return f.do(func() error {
-		if bs, ok := f.inner.(BatchStore); ok {
-			return bs.ApplyOps(ops)
-		}
-		for _, op := range ops {
-			if err := ApplyOp(f.inner, op); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ApplyOp routes one batch op through a store's single-op methods — the
-// fallback path for stores without a batch fast path, and the retry
-// path callers use to isolate a failure after a batch rolled back.
-func ApplyOp(s JobStore, op Op) error {
-	switch op.Kind {
-	case OpPutJob:
-		if op.Rec == nil {
-			return fmt.Errorf("store: %s op without record", op.Kind)
-		}
-		return s.PutJob(*op.Rec)
-	case OpDeleteJob:
-		return s.DeleteJob(op.ID)
-	case OpPutCache:
-		return s.PutCache(op.Key, op.Result)
-	case OpDeleteCache:
-		return s.DeleteCache(op.Key)
-	case OpPutReplica:
-		if op.Rec == nil {
-			return fmt.Errorf("store: %s op without record", op.Kind)
-		}
-		return s.PutReplica(*op.Rec)
-	case OpDeleteReplica:
-		return s.DeleteReplica(op.ID)
-	default:
-		return fmt.Errorf("store: unknown op kind %q", op.Kind)
-	}
 }
 
 // Load implements JobStore; never injected — boot must see the truth.

@@ -16,16 +16,16 @@ import (
 func TestReplicaNamespace(t *testing.T) {
 	stores(t, func(t *testing.T, open func(t *testing.T) store.JobStore) {
 		s := open(t)
-		if err := s.PutJob(rec("own-1", store.StateDone, 1)); err != nil {
+		if err := store.Apply(s, store.PutJob(rec("own-1", store.StateDone, 1))); err != nil {
 			t.Fatal(err)
 		}
 		replica := rec("s0-job-00000001", store.StateDone, 7)
 		replica.Origin = "s0-"
 		replica.Result = json.RawMessage(`{"feasible":true}`)
-		if err := s.PutReplica(replica); err != nil {
+		if err := store.Apply(s, store.PutReplica(replica)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutReplica(rec("s0-job-00000002", store.StateQueued, 0)); err != nil {
+		if err := store.Apply(s, store.PutReplica(rec("s0-job-00000002", store.StateQueued, 0))); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.Load()
@@ -38,10 +38,10 @@ func TestReplicaNamespace(t *testing.T) {
 		if snap.Replicas[0].Origin != "s0-" || !bytes.Equal(snap.Replicas[0].Result, replica.Result) {
 			t.Fatalf("replica did not round trip: %+v", snap.Replicas[0])
 		}
-		if err := s.DeleteReplica("s0-job-00000002"); err != nil {
+		if err := store.Apply(s, store.DeleteReplica("s0-job-00000002")); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.DeleteReplica("never-existed"); err != nil {
+		if err := store.Apply(s, store.DeleteReplica("never-existed")); err != nil {
 			t.Fatalf("deleting an unknown replica: %v", err)
 		}
 		snap, err = s.Load()
@@ -65,13 +65,13 @@ func TestReplicaNamespaceSurvivesReopen(t *testing.T) {
 	}
 	replica := rec("s0-job-00000001", store.StateDone, 7)
 	replica.Origin = "s0-"
-	if err := s.PutReplica(replica); err != nil {
+	if err := store.Apply(s, store.PutReplica(replica)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutReplica(rec("s0-job-00000002", store.StateQueued, 0)); err != nil {
+	if err := store.Apply(s, store.PutReplica(rec("s0-job-00000002", store.StateQueued, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteReplica("s0-job-00000002"); err != nil {
+	if err := store.Apply(s, store.DeleteReplica("s0-job-00000002")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -100,7 +100,7 @@ func TestFaultStoreFailNext(t *testing.T) {
 	inner := store.NewMemStore()
 	f := store.NewFaultStore(inner)
 	f.FailNext(1)
-	err := f.PutJob(rec("job-1", store.StateQueued, 0))
+	err := store.Apply(f, store.PutJob(rec("job-1", store.StateQueued, 0)))
 	if !errors.Is(err, store.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -109,7 +109,7 @@ func TestFaultStoreFailNext(t *testing.T) {
 		t.Fatalf("clean injected failure leaked into the inner store: %+v", snap.Jobs)
 	}
 	// Healed: the next op lands.
-	if err := f.PutJob(rec("job-1", store.StateQueued, 0)); err != nil {
+	if err := store.Apply(f, store.PutJob(rec("job-1", store.StateQueued, 0))); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ = f.Load()
@@ -129,7 +129,7 @@ func TestFaultStoreTorn(t *testing.T) {
 	f := store.NewFaultStore(inner)
 	f.SetTorn(true)
 	f.FailNext(1)
-	if err := f.PutJob(rec("job-1", store.StateDone, 1)); !errors.Is(err, store.ErrInjected) {
+	if err := store.Apply(f, store.PutJob(rec("job-1", store.StateDone, 1))); !errors.Is(err, store.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	snap, _ := inner.Load()
@@ -144,7 +144,7 @@ func TestFaultStoreFailEvery(t *testing.T) {
 	f.FailEvery(3)
 	var fails int
 	for i := 0; i < 9; i++ {
-		if err := f.DeleteJob("nope"); err != nil {
+		if err := store.Apply(f, store.DeleteJob("nope")); err != nil {
 			fails++
 		}
 	}
@@ -160,13 +160,13 @@ func TestParseFaultSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := f.DeleteJob("a"); err != nil { // op 1: no fault, but latency
+	if err := store.Apply(f, store.DeleteJob("a")); err != nil { // op 1: no fault, but latency
 		t.Fatal(err)
 	}
 	if time.Since(start) < time.Millisecond {
 		t.Fatal("latency dial did not delay the op")
 	}
-	if err := f.DeleteJob("b"); !errors.Is(err, store.ErrInjected) { // op 2: fault
+	if err := store.Apply(f, store.DeleteJob("b")); !errors.Is(err, store.ErrInjected) { // op 2: fault
 		t.Fatalf("err = %v, want ErrInjected on the 2nd op", err)
 	}
 	for _, bad := range []string{"latency", "nonsense=1", "latency=xyz", "fail-every=abc"} {

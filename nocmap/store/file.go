@@ -459,56 +459,17 @@ func (fs *FileStore) applyLocked(op walOp) error {
 	return nil
 }
 
-// append writes one op to the active WAL segment, fsyncs it and folds
-// it into the in-memory state, rotating segments (and waking the
-// compactor) when the log has outgrown the state.
-func (fs *FileStore) append(op walOp) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.writableLocked(); err != nil {
-		return err
-	}
-	if err := op.validate(); err != nil {
-		return err // never fsync an op replay would choke on
-	}
-	line, err := appendWALOp(fs.line[:0], &op)
-	if err != nil {
-		return fmt.Errorf("store: encoding wal op: %w", err)
-	}
-	line = append(line, '\n')
-	fs.keepLine(line)
-	if _, err := fs.wal.Write(line); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
-		// A short write (ENOSPC, I/O error) may have left a line
-		// fragment; roll the file back to the last whole line so a later
-		// successful append cannot glue onto the fragment and turn a
-		// transient failure into permanent mid-log corruption.
-		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
-		return fmt.Errorf("store: appending wal: %w", err)
-	}
-	if err := fs.wal.Sync(); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
-		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
-		return fmt.Errorf("store: syncing wal: %w", err)
-	}
-	fs.walSize += int64(len(line))
-	fs.walOps++
-	if err := fs.applyLocked(op); err != nil {
-		return err
-	}
-	fs.maybeCompactLocked() //nocmapvet:allow blockingunderlock segment rotation is metadata-only WAL-path IO under fs.mu by design; docs/STATIC_ANALYSIS.md#baselines
-	return nil
-}
-
-// ApplyOps implements BatchStore: every op in the batch is marshaled,
-// written and fsynced as ONE WAL append — the group commit that lets an
-// async writer amortize fsync latency over many terminal transitions.
-// Order inside the batch is the WAL order. On a write or sync error the
-// file is rolled back to the pre-batch line boundary, so a failed batch
-// leaves no partial ops behind and may be retried op by op; once the
-// batch IS fsynced, it applies whole — an op that then fails to apply
-// flips the store read-only (see applyLocked) instead of leaving the
-// WAL silently ahead of the in-memory state. Rotation is considered
-// once per batch, not once per op, which keeps it off the
-// per-transition hot path.
+// ApplyOps implements JobStore and is the store's one write path: every
+// op in the batch is marshaled, written and fsynced as ONE WAL append —
+// the group commit that lets the server's flusher amortize fsync
+// latency over many transitions. Order inside the batch is the WAL
+// order. On a write or sync error the file is rolled back to the
+// pre-batch line boundary, so a failed batch leaves no partial ops
+// behind and may be retried op by op; once the batch IS fsynced, it
+// applies whole — an op that then fails to apply flips the store
+// read-only (see applyLocked) instead of leaving the WAL silently ahead
+// of the in-memory state. Rotation is considered once per batch, not
+// once per op, which keeps it off the per-transition hot path.
 func (fs *FileStore) ApplyOps(ops []Op) error {
 	if len(ops) == 0 {
 		return nil
@@ -534,6 +495,10 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	}
 	fs.keepLine(buf)
 	if _, err := fs.wal.Write(buf); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
+		// A short write (ENOSPC, I/O error) may have left a line
+		// fragment; roll the file back to the last whole line so a later
+		// successful append cannot glue onto the fragment and turn a
+		// transient failure into permanent mid-log corruption.
 		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
 		return fmt.Errorf("store: appending wal batch: %w", err)
 	}
@@ -660,38 +625,6 @@ func (s *memState) snapshot() *Snapshot {
 		snap.Replicas = append(snap.Replicas, copyRecord(*s.replicas[id]))
 	}
 	return snap
-}
-
-// PutJob implements JobStore.
-func (fs *FileStore) PutJob(rec JobRecord) error {
-	r := copyRecord(rec)
-	return fs.append(walOp{Op: "job", Job: &r})
-}
-
-// DeleteJob implements JobStore.
-func (fs *FileStore) DeleteJob(id string) error {
-	return fs.append(walOp{Op: "deljob", ID: id})
-}
-
-// PutCache implements JobStore.
-func (fs *FileStore) PutCache(key string, result json.RawMessage) error {
-	return fs.append(walOp{Op: "cache", Key: key, Result: rawCopy(result)})
-}
-
-// DeleteCache implements JobStore.
-func (fs *FileStore) DeleteCache(key string) error {
-	return fs.append(walOp{Op: "delcache", Key: key})
-}
-
-// PutReplica implements JobStore.
-func (fs *FileStore) PutReplica(rec JobRecord) error {
-	r := copyRecord(rec)
-	return fs.append(walOp{Op: "replica", Job: &r})
-}
-
-// DeleteReplica implements JobStore.
-func (fs *FileStore) DeleteReplica(id string) error {
-	return fs.append(walOp{Op: "delreplica", ID: id})
 }
 
 // Load implements JobStore.

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -67,7 +66,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
+		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +112,7 @@ func TestByteSizeTrigger(t *testing.T) {
 	defer fs.Close()
 	big := `{"blob":"` + strings.Repeat("x", 16<<10) + `"}`
 	for i := 0; i < 8; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), big)); err != nil {
+		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), big))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +145,7 @@ func TestAppendsDuringCompaction(t *testing.T) {
 	}
 	const total = 200
 	for i := 0; i < total; i++ {
-		if err := fs.PutJob(irec(fmt.Sprintf("job-%03d", i%7), uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
+		if err := Apply(fs, PutJob(irec(fmt.Sprintf("job-%03d", i%7), uint64(i+1), fmt.Sprintf(`{"round":%d}`, i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +178,7 @@ func TestStaleSnapshotTmpRemovedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.PutJob(irec("job-1", 1, `{"ok":true}`)); err != nil {
+	if err := Apply(fs, PutJob(irec("job-1", 1, `{"ok":true}`))); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(); err != nil {
@@ -237,7 +236,7 @@ func TestCompactionSurvivesLeftoverSegment(t *testing.T) {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
+		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +272,7 @@ func TestCompactionSurvivesLeftoverSegment(t *testing.T) {
 	// And the settled counters must not re-attempt compaction forever:
 	// a few more appends stay below the trigger.
 	for i := 0; i < 4; i++ {
-		if err := again.PutJob(irec("job-2", uint64(i+1), "")); err != nil {
+		if err := Apply(again, PutJob(irec("job-2", uint64(i+1), ""))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +314,7 @@ func TestFailedSegmentDeleteStillSettles(t *testing.T) {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
+		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +329,7 @@ func TestFailedSegmentDeleteStillSettles(t *testing.T) {
 	// appends below the trigger must not re-attempt compaction.
 	passes := st.Compactions
 	for i := 0; i < 4; i++ {
-		if err := fs.PutJob(irec("job-2", uint64(i+1), "")); err != nil {
+		if err := Apply(fs, PutJob(irec("job-2", uint64(i+1), ""))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +371,7 @@ func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 		t.Fatalf("mid-batch apply failure returned %v", err)
 	}
 	// Loud: every subsequent write is refused.
-	if err := fs.PutJob(irec("job-d", 4, "")); err == nil || !strings.Contains(err.Error(), "read-only") {
+	if err := Apply(fs, PutJob(irec("job-d", 4, ""))); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("store accepted writes after apply divergence: %v", err)
 	}
 	if err := fs.ApplyOps([]Op{{Kind: OpPutJob, Rec: &a}}); err == nil || !strings.Contains(err.Error(), "read-only") {
@@ -411,8 +410,8 @@ func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 	}
 }
 
-// TestSingleOpApplyFailureGoesReadOnly pins the same contract on the
-// single-op append path.
+// TestSingleOpApplyFailureGoesReadOnly pins the same contract on a
+// one-op batch, the shape every retried op takes.
 func TestSingleOpApplyFailureGoesReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := Open(dir)
@@ -421,11 +420,11 @@ func TestSingleOpApplyFailureGoesReadOnly(t *testing.T) {
 	}
 	defer fs.Close()
 	fs.applyFault = func(op walOp) error { return fmt.Errorf("injected apply fault") }
-	if err := fs.PutJob(irec("job-a", 1, "")); err == nil {
+	if err := Apply(fs, PutJob(irec("job-a", 1, ""))); err == nil {
 		t.Fatal("append with a poisoned apply must fail")
 	}
 	fs.applyFault = nil
-	if err := fs.PutJob(irec("job-b", 2, "")); err == nil || !strings.Contains(err.Error(), "read-only") {
+	if err := Apply(fs, PutJob(irec("job-b", 2, ""))); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("store writable after apply divergence: %v", err)
 	}
 }
@@ -462,7 +461,7 @@ func TestLegacyWALMigration(t *testing.T) {
 		t.Fatalf("legacy wal was not migrated to segment 1: %v", err)
 	}
 	// And appends keep working in the migrated store.
-	if err := fs.PutJob(irec("job-after", 3, "")); err != nil {
+	if err := Apply(fs, PutJob(irec("job-after", 3, ""))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -476,7 +475,7 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), "")); err != nil {
+		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), ""))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -487,7 +486,7 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.mu.Unlock()
-	if err := fs.PutJob(irec("job-1", 5, "")); err != nil {
+	if err := Apply(fs, PutJob(irec("job-1", 5, ""))); err != nil {
 		t.Fatal(err)
 	}
 	fs.mu.Lock()
@@ -496,7 +495,7 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.mu.Unlock()
-	if err := fs.PutJob(irec("job-1", 6, "")); err != nil {
+	if err := Apply(fs, PutJob(irec("job-1", 6, ""))); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(); err != nil {
@@ -507,57 +506,5 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("Open with a segment hole = %v, want loud failure", err)
-	}
-}
-
-// TestGroupCommitSyncAcrossCompaction layers the async writer over the
-// file store and checks Sync(ctx) durability barriers hold while a
-// throttled compaction runs underneath: every acked record survives a
-// reopen.
-func TestGroupCommitSyncAcrossCompaction(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := OpenConfig(dir, FileConfig{CompactOps: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	fs.compactThrottle = func() {
-		select {
-		case <-release:
-		default:
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	g := NewGroupCommit(fs, GroupCommitConfig{MaxBatch: 8})
-	const total = 120
-	for i := 0; i < total; i++ {
-		if err := g.PutJob(irec(fmt.Sprintf("job-%03d", i), uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
-			t.Fatal(err)
-		}
-		if i%10 == 9 {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			err := g.Sync(ctx)
-			cancel()
-			if err != nil {
-				t.Fatalf("Sync during compaction: %v", err)
-			}
-		}
-	}
-	close(release)
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	again, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Close()
-	snap, err := again.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Jobs) != total {
-		t.Fatalf("recovered %d jobs, acked %d — durability barrier leaked across compaction", len(snap.Jobs), total)
 	}
 }

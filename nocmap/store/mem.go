@@ -1,9 +1,6 @@
 package store
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "sync"
 
 // MemStore is the in-memory JobStore: the same semantics as the durable
 // store without any files — it wraps the exact state machine FileStore
@@ -21,43 +18,7 @@ func NewMemStore() *MemStore {
 	return &MemStore{state: newMemState()}
 }
 
-// PutJob implements JobStore.
-func (m *MemStore) PutJob(rec JobRecord) error {
-	return m.apply(walOp{Op: "job", Job: &rec})
-}
-
-// DeleteJob implements JobStore.
-func (m *MemStore) DeleteJob(id string) error {
-	return m.apply(walOp{Op: "deljob", ID: id})
-}
-
-// PutCache implements JobStore.
-func (m *MemStore) PutCache(key string, result json.RawMessage) error {
-	return m.apply(walOp{Op: "cache", Key: key, Result: result})
-}
-
-// DeleteCache implements JobStore.
-func (m *MemStore) DeleteCache(key string) error {
-	return m.apply(walOp{Op: "delcache", Key: key})
-}
-
-// PutReplica implements JobStore.
-func (m *MemStore) PutReplica(rec JobRecord) error {
-	return m.apply(walOp{Op: "replica", Job: &rec})
-}
-
-// DeleteReplica implements JobStore.
-func (m *MemStore) DeleteReplica(id string) error {
-	return m.apply(walOp{Op: "delreplica", ID: id})
-}
-
-func (m *MemStore) apply(op walOp) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state.apply(op)
-}
-
-// ApplyOps implements BatchStore: the whole batch folds into the state
+// ApplyOps implements JobStore: the whole batch folds into the state
 // under one lock hold, mirroring FileStore's one-fsync batch.
 func (m *MemStore) ApplyOps(ops []Op) error {
 	m.mu.Lock()

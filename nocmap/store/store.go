@@ -84,27 +84,20 @@ type Snapshot struct {
 }
 
 // JobStore persists jobs, terminal results and result-cache entries
-// across server restarts. Implementations must serialize concurrent
-// calls internally; the nocmap/server calls them under its own lock but
-// other writers make no such promise. All methods must be safe after
-// Close returns an error-free result only for Load.
+// across server restarts. ApplyOps is its one write path; a single
+// mutation is a one-op batch. Put ops insert or overwrite, and deleting
+// an unknown ID or key is a no-op. The replica ops act on the replica
+// namespace: state replicated from this instance's ring predecessor,
+// isolated from the instance's own jobs. Implementations must serialize
+// concurrent calls internally; the nocmap/server writes from one
+// flusher goroutine, but other writers make no such promise.
 type JobStore interface {
-	// PutJob inserts or overwrites the record for rec.ID.
-	PutJob(rec JobRecord) error
-	// DeleteJob forgets a job (retention eviction). Deleting an unknown
-	// ID is a no-op.
-	DeleteJob(id string) error
-	// PutCache inserts or refreshes one result-cache entry.
-	PutCache(key string, result json.RawMessage) error
-	// DeleteCache forgets a cache entry (LRU eviction). Unknown keys are
-	// a no-op.
-	DeleteCache(key string) error
-	// PutReplica inserts or overwrites a record in the replica
-	// namespace — state replicated from this instance's ring
-	// predecessor, isolated from the instance's own jobs.
-	PutReplica(rec JobRecord) error
-	// DeleteReplica forgets a replica record. Unknown IDs are a no-op.
-	DeleteReplica(id string) error
+	// ApplyOps applies ops in order under one durability barrier (one
+	// fsync for a FileStore). On error the whole batch is rolled back
+	// where the implementation can (FileStore truncates to the last
+	// whole pre-batch line), so callers may retry op by op to isolate a
+	// bad op.
+	ApplyOps(ops []Op) error
 	// Load returns the store's current contents. The server calls it
 	// once at boot, before accepting work.
 	Load() (*Snapshot, error)
@@ -112,9 +105,8 @@ type JobStore interface {
 	Close() error
 }
 
-// OpKind names one kind of store mutation. The values match the WAL's
-// on-disk op strings so a batched op folds into the same log format as
-// the single-shot JobStore methods.
+// OpKind names one kind of store mutation. The values are the WAL's
+// on-disk op strings.
 type OpKind string
 
 // The store mutations a batch may carry.
@@ -142,29 +134,6 @@ type Op struct {
 // walOp validate runs before anything is written).
 func (op Op) wal() walOp {
 	return walOp{Op: string(op.Kind), Job: op.Rec, ID: op.ID, Key: op.Key, Result: op.Result}
-}
-
-// copyOp deep-copies an op so the store may hold it past the call.
-func copyOp(op Op) Op {
-	if op.Rec != nil {
-		r := copyRecord(*op.Rec)
-		op.Rec = &r
-	}
-	op.Result = rawCopy(op.Result)
-	return op
-}
-
-// BatchStore is the group-commit fast path: a JobStore that can apply
-// many mutations under a single durability barrier (one fsync for a
-// FileStore). Order within the batch is preserved exactly; on error the
-// whole batch is rolled back where the implementation can (FileStore
-// truncates to the last whole pre-batch line), so callers may safely
-// retry op by op. Implementations must serialize ApplyOps against the
-// single-op methods.
-type BatchStore interface {
-	JobStore
-	// ApplyOps applies ops in order under one durability barrier.
-	ApplyOps(ops []Op) error
 }
 
 // rawCopy deep-copies a raw message so callers may reuse their buffers.

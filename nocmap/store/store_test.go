@@ -58,11 +58,11 @@ func TestPutLoadRoundTrip(t *testing.T) {
 		done := rec("job-1", store.StateDone, 1)
 		done.Result = json.RawMessage(`{"feasible":true}`)
 		for _, r := range []store.JobRecord{done, rec("job-2", store.StateQueued, 0)} {
-			if err := s.PutJob(r); err != nil {
+			if err := store.Apply(s, store.PutJob(r)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.PutCache("cache-a", json.RawMessage(`{"r":1}`)); err != nil {
+		if err := store.Apply(s, store.PutCache("cache-a", json.RawMessage(`{"r":1}`))); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.Load()
@@ -85,26 +85,26 @@ func TestOverwriteAndDelete(t *testing.T) {
 	stores(t, func(t *testing.T, open func(t *testing.T) store.JobStore) {
 		s := open(t)
 		defer s.Close()
-		if err := s.PutJob(rec("job-1", store.StateQueued, 0)); err != nil {
+		if err := store.Apply(s, store.PutJob(rec("job-1", store.StateQueued, 0))); err != nil {
 			t.Fatal(err)
 		}
 		finished := rec("job-1", store.StateDone, 7)
-		if err := s.PutJob(finished); err != nil {
+		if err := store.Apply(s, store.PutJob(finished)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutJob(rec("job-2", store.StateDone, 8)); err != nil {
+		if err := store.Apply(s, store.PutJob(rec("job-2", store.StateDone, 8))); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.DeleteJob("job-2"); err != nil {
+		if err := store.Apply(s, store.DeleteJob("job-2")); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.DeleteJob("missing"); err != nil {
+		if err := store.Apply(s, store.DeleteJob("missing")); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutCache("k", json.RawMessage(`1`)); err != nil {
+		if err := store.Apply(s, store.PutCache("k", json.RawMessage(`1`))); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.DeleteCache("k"); err != nil {
+		if err := store.Apply(s, store.DeleteCache("k")); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.Load()
@@ -130,13 +130,13 @@ func TestFileStoreReopen(t *testing.T) {
 	}
 	done := rec("job-1", store.StateDone, 3)
 	done.Result = json.RawMessage(`{"assignment":[0,1,2]}`)
-	if err := s.PutJob(done); err != nil {
+	if err := store.Apply(s, store.PutJob(done)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJob(rec("job-2", store.StateRunning, 0)); err != nil {
+	if err := store.Apply(s, store.PutJob(rec("job-2", store.StateRunning, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutCache("warm", json.RawMessage(`{"cached":true}`)); err != nil {
+	if err := store.Apply(s, store.PutCache("warm", json.RawMessage(`{"cached":true}`))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -171,7 +171,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJob(rec("job-1", store.StateDone, 1)); err != nil {
+	if err := store.Apply(s, store.PutJob(rec("job-1", store.StateDone, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -199,7 +199,7 @@ func TestFileStoreTornTail(t *testing.T) {
 		t.Fatalf("snapshot after torn tail = %+v; want job-1 alone", snap.Jobs)
 	}
 	// The truncated WAL must append cleanly again.
-	if err := again.PutJob(rec("job-3", store.StateQueued, 0)); err != nil {
+	if err := store.Apply(again, store.PutJob(rec("job-3", store.StateQueued, 0))); err != nil {
 		t.Fatal(err)
 	}
 	if err := again.Close(); err != nil {
@@ -219,6 +219,60 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 }
 
+// TestApplyOpsTornBatchPrefix is the SIGKILL-mid-batch property: a
+// crash that tears a multi-op ApplyOps batch reopens to a strict PREFIX
+// of the write order — every acknowledged batch, the whole lines of the
+// torn one behind it, and never a hole.
+func TestApplyOpsTornBatchPrefix(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const acked, batch = 40, 8
+	for i := 0; i < acked; i += batch {
+		var ops []store.Op
+		for k := i; k < i+batch; k++ {
+			ops = append(ops, store.PutJob(rec(fmt.Sprintf("job-%03d", k), store.StateDone, uint64(k+1))))
+		}
+		if err := fs.ApplyOps(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The next batch tore halfway through its WAL append: one whole
+	// line reached the disk, the second did not.
+	f, err := os.OpenFile(activeSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"job","job":{"id":"job-040","state":"done"}}` + "\n" +
+		`{"op":"job","job":{"id":"job-041","st`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	again, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after mid-batch crash: %v", err)
+	}
+	defer again.Close()
+	snap, err := again.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Jobs) != acked+1 {
+		t.Fatalf("recovered %d jobs, want the %d acked plus the torn batch's whole line", len(snap.Jobs), acked)
+	}
+	for i, j := range snap.Jobs {
+		if want := fmt.Sprintf("job-%03d", i); j.ID != want {
+			t.Fatalf("recovered job %d is %q, want %q: not a prefix of the write order", i, j.ID, want)
+		}
+	}
+}
+
 // TestFileStoreCompaction drives enough churn to trigger snapshotting
 // and checks the state survives (snapshot + emptied WAL, then reopen).
 func TestFileStoreCompaction(t *testing.T) {
@@ -233,7 +287,7 @@ func TestFileStoreCompaction(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		last = rec("job-1", store.StateDone, uint64(i+1))
 		last.Result = json.RawMessage(fmt.Sprintf(`{"round":%d}`, i))
-		if err := s.PutJob(last); err != nil {
+		if err := store.Apply(s, store.PutJob(last)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,13 +339,13 @@ func TestInvalidOpsNeverReachDisk(t *testing.T) {
 	stores(t, func(t *testing.T, open func(t *testing.T) store.JobStore) {
 		s := open(t)
 		defer s.Close()
-		if err := s.PutJob(store.JobRecord{State: store.StateQueued}); err == nil {
+		if err := store.Apply(s, store.PutJob(store.JobRecord{State: store.StateQueued})); err == nil {
 			t.Fatal("PutJob without an ID must fail")
 		}
-		if err := s.PutCache("", json.RawMessage(`1`)); err == nil {
+		if err := store.Apply(s, store.PutCache("", json.RawMessage(`1`))); err == nil {
 			t.Fatal("PutCache without a key must fail")
 		}
-		if err := s.PutJob(rec("job-1", store.StateQueued, 0)); err != nil {
+		if err := store.Apply(s, store.PutJob(rec("job-1", store.StateQueued, 0))); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.Load()
@@ -308,8 +362,8 @@ func TestInvalidOpsNeverReachDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = fs.PutJob(store.JobRecord{State: store.StateQueued}) // rejected
-	if err := fs.PutJob(rec("job-1", store.StateDone, 1)); err != nil {
+	_ = store.Apply(fs, store.PutJob(store.JobRecord{State: store.StateQueued})) // rejected
+	if err := store.Apply(fs, store.PutJob(rec("job-1", store.StateDone, 1))); err != nil {
 		t.Fatal(err)
 	}
 	fs.Close()
@@ -337,7 +391,7 @@ func TestFileStoreMidLogCorruptionFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJob(rec("job-1", store.StateDone, 1)); err != nil {
+	if err := store.Apply(s, store.PutJob(rec("job-1", store.StateDone, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Service-level load benchmark: boot a durable nocmapd once per store
-# mode ("group": the async group-commit writer; "sync": the
-# fsync-per-record baseline), drive each with cmd/nocmapload's seeded
+# mode ("group": one fsync per batch the server's flusher drains;
+# "sync": the fsync-per-record baseline), drive each with cmd/nocmapload's seeded
 # deterministic request stream at a sustained rate, and record jobs/sec
 # + P50/P85/P99 latency into BENCH.json's "service" section. The result
 # cache is disabled so every request exercises the store write path —
