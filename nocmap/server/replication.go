@@ -197,11 +197,12 @@ type repStream struct {
 	r      *replicator
 	target string
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending map[string]repOp
-	order   []string
-	closed  chan struct{}
+	mu       sync.Mutex
+	cond     *sync.Cond
+	pending  map[string]repOp
+	order    []string
+	inflight int // ops in the batch being pushed right now
+	closed   chan struct{}
 
 	acked         uint64 // records+deletes this follower acknowledged
 	watermark     uint64 // follower-reported applied high terminal seq
@@ -347,7 +348,7 @@ func (r *replicator) targetStats(termSeq uint64) []ReplicaTargetStats {
 			URL:       st.target,
 			Acked:     st.acked,
 			Watermark: st.watermark,
-			Pending:   len(st.order),
+			Pending:   len(st.order) + st.inflight,
 			Fails:     st.fails,
 			Stalled:   st.stalled,
 		}
@@ -477,6 +478,7 @@ func (st *repStream) loop() {
 			}
 		}
 		st.order = append([]string(nil), st.order[n:]...)
+		st.inflight = n
 		st.mu.Unlock()
 
 		resp, err := st.send(req)
@@ -485,6 +487,7 @@ func (st *repStream) loop() {
 			// flight), note the failure for stall detection, and back off
 			// before the next attempt.
 			st.mu.Lock()
+			st.inflight = 0
 			for id, op := range batch {
 				if _, ok := st.pending[id]; !ok {
 					st.pending[id] = op
@@ -511,6 +514,7 @@ func (st *repStream) loop() {
 		}
 		backoff = replicateMinBackoff
 		st.mu.Lock()
+		st.inflight = 0
 		st.acked += uint64(len(batch))
 		st.fails = 0
 		st.stalled = false

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,6 +107,59 @@ func TestReplicationConverges(t *testing.T) {
 	if jresp, _ := get(t, follower.URL+"/v1/jobs/"+st.ID); jresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unpromoted replica leaked into /v1/jobs: status %d", jresp.StatusCode)
 	}
+}
+
+// TestReplicationPendingCountsInFlight pins the Stats contract the
+// drain waits above rely on: a push the follower has not answered yet
+// still counts in ReplicationPending. Were it dropped from the count
+// once taken off the queue, "pending == 0" could read true while the
+// terminal record is still on the wire.
+func TestReplicationPendingCountsInFlight(t *testing.T) {
+	// The follower answers every push at once except the one carrying
+	// the terminal record, which it holds until released: by then
+	// nothing else is left to queue, so only the in-flight push can
+	// keep the count above zero.
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req server.ReplicateRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		for _, rec := range req.Records {
+			if store.Terminal(rec.State) {
+				entered <- struct{}{}
+				<-release
+			}
+		}
+		json.NewEncoder(w).Encode(server.ReplicateResponse{Applied: len(req.Records)})
+	}))
+	t.Cleanup(follower.Close)
+	t.Cleanup(unblock)
+	_, primary := newConfiguredServer(t, server.Config{
+		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", ReplicaTarget: follower.URL,
+	})
+	resp, got := post(t, primary.URL+"/v1/solve",
+		submitBody(t, tinyProblemJSON(t, "in-flight"), server.SolveSpec{}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve status = %d (body %s)", resp.StatusCode, got)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the primary never pushed the terminal record")
+	}
+	if st := remoteStats(t, primary.URL); st.ReplicationPending != 1 {
+		t.Fatalf("ReplicationPending = %d with only the terminal push in flight, want 1 (%+v)",
+			st.ReplicationPending, st.ReplicaTargets)
+	}
+	unblock()
+	waitFor(t, "replication to drain", func() bool {
+		return remoteStats(t, primary.URL).ReplicationPending == 0
+	})
 }
 
 // TestPromoteTerminalByteIdentical pins failover for completed work:

@@ -3,9 +3,11 @@ package store_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/nocmap/store"
@@ -219,11 +221,179 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 }
 
-// TestApplyOpsTornBatchPrefix is the SIGKILL-mid-batch property: a
-// crash that tears a multi-op ApplyOps batch reopens to a strict PREFIX
-// of the write order — every acknowledged batch, the whole lines of the
+// walJobIDs reads the job IDs of every put in dir's WAL segments, in
+// file order: the write order a reopen replays.
+func walJobIDs(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal.*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var op struct {
+				Job *store.JobRecord `json:"job"`
+			}
+			if err := json.Unmarshal(line, &op); err != nil {
+				t.Fatalf("wal line %q: %v", line, err)
+			}
+			if op.Job != nil {
+				ids = append(ids, op.Job.ID)
+			}
+		}
+	}
+	return ids
+}
+
+// TestGroupCommitSerialOrder pins the WAL-order contract of the store's
+// group commit (one ApplyOps batch, one append, one fsync): a single
+// writer's ops land in the WAL in exactly the order it issued them,
+// across however many batches it cuts them into.
+func TestGroupCommitSerialOrder(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, batch = 100, 7
+	for i := 0; i < n; i += batch {
+		var ops []store.Op
+		for k := i; k < i+batch && k < n; k++ {
+			ops = append(ops, store.PutJob(rec(fmt.Sprintf("job-%03d", k), store.StateDone, uint64(k+1))))
+		}
+		if err := fs.ApplyOps(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ids := walJobIDs(t, dir)
+	if len(ids) != n {
+		t.Fatalf("wal holds %d puts, want %d", len(ids), n)
+	}
+	for i, id := range ids {
+		if want := fmt.Sprintf("job-%03d", i); id != want {
+			t.Fatalf("wal line %d is %q, want %q: batches reordered", i, id, want)
+		}
+	}
+}
+
+// TestGroupCommitConcurrentOrder drives ApplyOps from many writers at
+// once and checks the WAL keeps each writer's program order and each
+// batch whole: batches from different writers may interleave, the ops
+// inside one never do.
+func TestGroupCommitConcurrentOrder(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, batches, batch = 8, 10, 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				ops := make([]store.Op, batch)
+				for k := range ops {
+					seq := b*batch + k
+					ops[k] = store.PutJob(rec(fmt.Sprintf("w%d-%03d", w, seq), store.StateDone, uint64(seq+1)))
+				}
+				if err := fs.ApplyOps(ops); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ids := walJobIDs(t, dir)
+	if len(ids) != writers*batches*batch {
+		t.Fatalf("wal holds %d puts, want %d", len(ids), writers*batches*batch)
+	}
+	next := make([]int, writers)
+	for i, id := range ids {
+		var w, seq int
+		if _, err := fmt.Sscanf(id, "w%d-%d", &w, &seq); err != nil {
+			t.Fatalf("wal line %d: unparseable id %q", i, id)
+		}
+		if seq != next[w] {
+			t.Fatalf("writer %d reordered: wal line %d is %03d, expected %03d", w, i, seq, next[w])
+		}
+		if seq%batch != 0 {
+			// Mid-batch: the line before must be the same writer's
+			// previous op, or the batch was split.
+			var pw, pseq int
+			fmt.Sscanf(ids[i-1], "w%d-%d", &pw, &pseq)
+			if pw != w || pseq != seq-1 {
+				t.Fatalf("batch of writer %d split at wal line %d by %q", w, i, ids[i-1])
+			}
+		}
+		next[w]++
+	}
+}
+
+// TestGroupCommitTornBatch reuses the FaultStore torn-write hook at
+// batch granularity: the batch reached the disk but its acknowledgment
+// was lost. The server flusher's answer — retry the batch op by op —
+// re-applies every op; replay idempotency absorbs the duplicates, and
+// no op is lost or reordered, live or after a reopen.
+func TestGroupCommitTornBatch(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := store.NewFaultStore(fs)
+	fault.SetTorn(true)
+	fault.FailNext(1) // the first barrier tears: applied, then "ack lost"
+	batch := []store.Op{
+		store.PutJob(rec("job-a", store.StateDone, 1)),
+		store.PutJob(rec("job-b", store.StateDone, 2)),
+	}
+	if err := fault.ApplyOps(batch); !errors.Is(err, store.ErrInjected) {
+		t.Fatalf("torn batch err = %v, want ErrInjected", err)
+	}
+	for _, op := range batch {
+		if err := fault.ApplyOps([]store.Op{op}); err != nil {
+			t.Fatalf("op-by-op retry: %v", err)
+		}
+	}
+	if err := fault.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walJobIDs(t, dir); fmt.Sprint(got) != "[job-a job-b job-a job-b]" {
+		t.Fatalf("wal puts = %v, want the torn batch then its retry", got)
+	}
+	again, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	snap, err := again.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Jobs) != 2 || snap.Jobs[0].ID != "job-a" || snap.Jobs[1].ID != "job-b" {
+		t.Fatalf("torn batch replayed to %+v, want job-a then job-b once each", snap.Jobs)
+	}
+}
+
+// TestGroupCommitCrashPrefix is the SIGKILL-mid-batch property: a crash
+// that tears a multi-op ApplyOps batch reopens to a strict PREFIX of
+// the write order — every acknowledged batch, the whole lines of the
 // torn one behind it, and never a hole.
-func TestApplyOpsTornBatchPrefix(t *testing.T) {
+func TestGroupCommitCrashPrefix(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := store.Open(dir)
 	if err != nil {
