@@ -4,7 +4,7 @@ GO ?= go
 # CI fails the build when any regresses.
 BENCH_GATES = MapSinglePathSwapDelta<=0,RouteSinglePath<=0,PBBVOPD<=2000,ParseSubmit/8core<=110,ParseSubmit/64core<=1100,WriteJobStatus<=4,ApplyOpsCacheHit<=5
 
-.PHONY: build test race bench bench-json bench-gate bench-service bench-service-gate bench-store-compact experiments apicheck api-update importgate linkcheck server-smoke fuzz-smoke chaos-smoke chaos-smoke-r2 cover nocmapvet lint
+.PHONY: build test race bench bench-json bench-gate bench-service bench-service-gate bench-store-compact experiments apicheck api-update importgate linkcheck server-smoke fuzz-smoke chaos-smoke chaos-smoke-r2 cover census nocmapvet lint
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,15 @@ fuzz-smoke:
 	$(GO) test ./nocmap/server -run '^$$' -fuzz FuzzParseSubmit -fuzztime $(FUZZTIME)
 	$(GO) test ./nocmap/server -run '^$$' -fuzz FuzzJobStatusEncoding -fuzztime $(FUZZTIME)
 	$(GO) test ./nocmap/store -run '^$$' -fuzz FuzzWALEncoding -fuzztime $(FUZZTIME)
+
+# Integration-coverage census (docs/CENSUS.md): cover-built nocmapd and
+# nocmapsh through server-smoke, the exec-level crash and chaos tests
+# and one nocbench run per workload; prints every function in
+# nocmap/{server,shard,store} those runs leave at 0%. Output in .census/.
+# Takes a few minutes; not part of CI.
+CENSUS_SECONDS ?= 8
+census:
+	bash scripts/census.sh $(CENSUS_SECONDS)
 
 # Per-package coverage floors (scripts/cover_thresholds.txt). CI fails
 # when nocmap, nocmap/server, nocmap/store or nocmap/shard drop below

@@ -2,8 +2,8 @@
 // serialized nocmap problem with solve options, poll or stream the
 // job's progress, fetch the result, cancel mid-solve. It is a thin
 // shell around repro/nocmap/server — a bounded solver pool with
-// same-topology batching, request coalescing and an LRU result cache —
-// which itself sits strictly on the public nocmap API.
+// request coalescing and an LRU result cache — which itself sits
+// strictly on the public nocmap API.
 //
 //	nocmapd                          # listen on :8537, in-memory only
 //	nocmapd -addr 127.0.0.1:0        # ephemeral port, printed at startup
@@ -70,7 +70,6 @@ func main() {
 	pool := flag.Int("pool", 0, "solver workers (0: one per CPU)")
 	queue := flag.Int("queue", 256, "max queued jobs before submissions are rejected")
 	cache := flag.Int("cache", 128, "LRU result-cache entries (negative disables)")
-	batch := flag.Int("batch", 8, "max same-topology jobs one worker drains per pass")
 	retention := flag.Int("retention", 1024, "finished jobs kept queryable before the oldest statuses are evicted")
 	storeDir := flag.String("store", "", "durable job-store directory (empty: in-memory only)")
 	profile := flag.String("profile", "repro", `service profile: "repro" (bit-exact solves) or "fast" (FastQueue + full parallelism defaults)`)
@@ -88,7 +87,6 @@ func main() {
 		Pool:       *pool,
 		QueueSize:  *queue,
 		CacheSize:  *cache,
-		BatchSize:  *batch,
 		Retention:  *retention,
 		Profile:    server.Profile(*profile),
 		IDPrefix:   *idPrefix,

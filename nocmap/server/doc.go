@@ -1,6 +1,6 @@
 // Package server is the nocmapd solve service: an HTTP/JSON front end
 // over the public nocmap API (and nothing below it — the import gate
-// enforces that) for batching mapping workloads.
+// enforces that) for serving mapping workloads.
 //
 // A Server owns a bounded pool of solver workers fed from a bounded
 // queue. Three layers keep repeated traffic cheap:
@@ -12,11 +12,10 @@
 //   - Request coalescing: a submission identical to a queued or running
 //     job attaches to it as a follower (marked Coalesced), sharing one
 //     computation and its outcome.
-//   - Same-topology batching on shared topologies: a worker drains up
-//     to Config.BatchSize queued jobs on the same topology in one pass,
-//     and every small topology decoded from the wire is interned, so
-//     identical specs share one immutable instance and its warm routing
-//     caches across workers.
+//   - Shared topologies: every small topology decoded from the wire is
+//     interned, so identical specs share one immutable instance and its
+//     warm routing caches whichever worker solves the job. Workers take
+//     jobs from the queue in submission order.
 //
 // Jobs move queued -> running -> done | failed | cancelled. DELETE
 // cancels through the solver's context.Context: a running job returns

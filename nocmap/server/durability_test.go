@@ -300,7 +300,7 @@ func TestWatermarkRegressionTriggersResend(t *testing.T) {
 func TestFollowerStoreFaultHoldsWatermark(t *testing.T) {
 	fs := store.NewFaultStore(store.NewMemStore())
 	_, follower := newConfiguredServer(t, server.Config{
-		Pool: 1, QueueSize: 8, CacheSize: 8, BatchSize: 1, IDPrefix: "p1-", Store: fs,
+		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: fs,
 	})
 	_, primary := newConfiguredServer(t, server.Config{
 		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", Store: store.NewMemStore(),

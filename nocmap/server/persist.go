@@ -132,24 +132,7 @@ func (s *Server) replay() error {
 	// the live server evicted by — never submission/insertion order.
 	sort.SliceStable(terminal, func(i, k int) bool { return terminal[i].Seq < terminal[k].Seq })
 	for _, rec := range terminal {
-		j := &job{
-			id:        rec.ID,
-			key:       rec.Key,
-			state:     rec.State,
-			cacheHit:  rec.CacheHit,
-			coalesced: rec.Coalesced,
-			result:    rec.Result,
-			finished:  true,
-			done:      make(chan struct{}),
-			subs:      make(map[chan JobEvent]struct{}),
-		}
-		if len(rec.Error) > 0 {
-			var pay ErrorPayload
-			if json.Unmarshal(rec.Error, &pay) == nil {
-				j.errPay = &pay
-			}
-		}
-		close(j.done)
+		j := finishedJob(rec)
 		j.seq = rec.Seq
 		s.jobs[j.id] = j
 		s.doneOrder = append(s.doneOrder, j.id)
@@ -158,16 +141,30 @@ func (s *Server) replay() error {
 		}
 		s.stats.Restored++
 	}
-	// Apply retention to the restored history exactly as the live
-	// server would have. The drops ride the outbox, so a replay that
-	// evicts dozens of jobs at once (a shrunk Retention, an over-full
-	// store) flushes them as one batch instead of one fsync each.
-	for len(s.doneOrder) > s.cfg.Retention {
-		evicted := s.doneOrder[0]
-		delete(s.jobs, evicted)
-		s.doneOrder = s.doneOrder[1:]
-		s.dropPersistedJob(evicted)
+
+	// The replica namespace — other backends' records replicated here —
+	// survives the restart: a follower reboot must not lose what its
+	// primaries entrusted to it. The acked watermark per origin is
+	// recomputed from what actually survived, so a restart that lost
+	// unflushed replicas reports the regression honestly and the
+	// primaries re-send from there.
+	for _, rec := range snap.Replicas {
+		if rec.ID == "" {
+			continue
+		}
+		s.replicas[rec.ID] = rec
+		if store.Terminal(rec.State) && rec.Seq > s.replicaHigh[rec.Origin] {
+			s.replicaHigh[rec.Origin] = rec.Seq
+		}
 	}
+
+	// Apply retention to the restored history exactly as the live server
+	// would have — after the replicas are loaded, so an evicted promoted
+	// job loses its replica record too. The drops ride the outbox, so a
+	// replay that evicts dozens of jobs at once (a shrunk Retention, an
+	// over-full store) flushes them as one batch instead of one fsync
+	// each.
+	s.evictBeyondRetentionLocked()
 
 	// The persisted cache re-warms the LRU before any live job looks at
 	// it, oldest entry first so recency is preserved.
@@ -181,23 +178,40 @@ func (s *Server) replay() error {
 		s.stats.Recovered++
 		s.recoverLive(rec)
 	}
-
-	// The replica namespace — other backends' records replicated here —
-	// survives the restart untouched: a follower reboot must not lose
-	// what its primaries entrusted to it. The acked watermark per origin
-	// is recomputed from what actually survived, so a restart that lost
-	// unflushed replicas reports the regression honestly and the
-	// primaries re-send from there.
-	for _, rec := range snap.Replicas {
-		if rec.ID == "" {
-			continue
-		}
-		s.replicas[rec.ID] = rec
-		if store.Terminal(rec.State) && rec.Seq > s.replicaHigh[rec.Origin] {
-			s.replicaHigh[rec.Origin] = rec.Seq
-		}
-	}
 	return nil
+}
+
+// finishedJob builds a finished job from a terminal record: the status
+// (state, flags, result, error) answers byte-identical to the one the
+// record was taken from. The caller sets seq and enrolls the job.
+func finishedJob(rec store.JobRecord) *job {
+	j := &job{
+		id:        rec.ID,
+		key:       rec.Key,
+		state:     rec.State,
+		cacheHit:  rec.CacheHit,
+		coalesced: rec.Coalesced,
+		result:    rec.Result,
+		errPay:    errorOf(rec),
+		finished:  true,
+		done:      make(chan struct{}),
+		subs:      make(map[chan JobEvent]struct{}),
+	}
+	close(j.done)
+	return j
+}
+
+// errorOf decodes a record's persisted error payload; nil when the
+// record carries none.
+func errorOf(rec store.JobRecord) *ErrorPayload {
+	if len(rec.Error) == 0 {
+		return nil
+	}
+	var pay ErrorPayload
+	if json.Unmarshal(rec.Error, &pay) != nil {
+		return nil
+	}
+	return &pay
 }
 
 // recoverLive re-admits one interrupted job under its original ID.
@@ -236,26 +250,7 @@ func (s *Server) recoverLive(rec store.JobRecord) {
 	j.problem = &p
 	j.spec = spec
 	j.key = JobKey(rec.Problem, spec) // recompute: guards against hash drift
-	topo := p.Topology()
-	j.tkey = fmt.Sprintf("%s/%dx%d", topo.Kind, topo.W, topo.H)
-
-	if cached, ok := s.cache.get(j.key); ok {
-		s.finishCachedLocked(j, cached)
-		return
-	}
-	if leader, ok := s.leaders[j.key]; ok {
-		j.state = leader.state
-		j.coalesced = true
-		j.leader = leader
-		leader.followers = append(leader.followers, j)
-		s.stats.Coalesced++
-		s.persistJob(j)
-		return
-	}
-	j.state = StateQueued
-	s.leaders[j.key] = j
-	s.queue = append(s.queue, j)
-	s.persistJob(j)
+	s.admitLocked(j)
 }
 
 // bumpNextID keeps minted IDs ahead of every replayed one with our

@@ -121,23 +121,11 @@ type WatermarkResponse struct {
 // replication target set — its first R ring successors. The shard
 // router pushes the set on startup and on every ring change; an empty
 // set turns replication off. Every target added by a push gets the full
-// job state reseeded so the new follower converges. URL is the
-// single-target form (kept for operators and R=1 fleets); URLs, when
-// non-empty, wins.
+// job state reseeded so the new follower converges. A body with any
+// other field is rejected, so a misspelled key can never read as the
+// empty set.
 type ReplicationTarget struct {
-	URL  string   `json:"url,omitempty"`
 	URLs []string `json:"urls,omitempty"`
-}
-
-// list flattens the two wire forms into one target list.
-func (t ReplicationTarget) list() []string {
-	if len(t.URLs) > 0 {
-		return t.URLs
-	}
-	if t.URL != "" {
-		return []string{t.URL}
-	}
-	return nil
 }
 
 // ReplicaTargetStats is one replication stream's slice of Stats: the
@@ -319,17 +307,6 @@ func (r *replicator) enqueueTo(target string, rec store.JobRecord) {
 	if st != nil {
 		st.add(rec.ID, repOp{rec: rec})
 	}
-}
-
-// snapshotStats returns (acked, pending) summed over every stream.
-func (r *replicator) snapshotStats() (uint64, int) {
-	var acked uint64
-	pending := 0
-	for _, ts := range r.targetStats(0) {
-		acked += ts.Acked
-		pending += ts.Pending
-	}
-	return acked, pending
 }
 
 // targetStats snapshots every stream, computing each lag against the
@@ -571,16 +548,6 @@ func (s *Server) SetReplicaTargets(urls []string) {
 	}
 }
 
-// SetReplicaTarget is the single-follower form of SetReplicaTargets,
-// kept for R=1 fleets and standalone pairs.
-func (s *Server) SetReplicaTarget(url string) {
-	if url == "" {
-		s.SetReplicaTargets(nil)
-		return
-	}
-	s.SetReplicaTargets([]string{url})
-}
-
 // seedReplicationToLocked enqueues every current job record to one
 // target, converging that follower's replica namespace with our state.
 // Callers hold s.mu.
@@ -619,7 +586,7 @@ func (s *Server) reseedAbove(target string, fromSeq uint64) {
 // advance back until a later batch heals it.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req ReplicateRequest
-	if !decodeInternal(w, r, &req) {
+	if !decodeInternal(w, r, &req, false) {
 		return
 	}
 	compactRecords(req.Records)
@@ -738,7 +705,7 @@ func (s *Server) handleWatermark(w http.ResponseWriter, r *http.Request) {
 // skipped, so the router may re-trigger promotion freely.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
-	if !decodeInternal(w, r, &req) {
+	if !decodeInternal(w, r, &req, false) {
 		return
 	}
 	s.mu.Lock()
@@ -770,24 +737,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // submissions of the same key served here hit immediately. Callers
 // hold s.mu.
 func (s *Server) installTerminalLocked(rec store.JobRecord) {
-	j := &job{
-		id:        rec.ID,
-		key:       rec.Key,
-		state:     rec.State,
-		cacheHit:  rec.CacheHit,
-		coalesced: rec.Coalesced,
-		result:    rec.Result,
-		finished:  true,
-		done:      make(chan struct{}),
-		subs:      make(map[chan JobEvent]struct{}),
-	}
-	if len(rec.Error) > 0 {
-		var pay ErrorPayload
-		if json.Unmarshal(rec.Error, &pay) == nil {
-			j.errPay = &pay
-		}
-	}
-	close(j.done)
+	j := finishedJob(rec)
 	s.jobs[j.id] = j
 	s.termSeq++
 	j.seq = s.termSeq
@@ -804,7 +754,7 @@ func (s *Server) installTerminalLocked(rec store.JobRecord) {
 // key-range migration during elastic join/leave.
 func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	var req ReconcileRequest
-	if !decodeInternal(w, r, &req) {
+	if !decodeInternal(w, r, &req, false) {
 		return
 	}
 	compactRecords(req.Records)
@@ -856,14 +806,7 @@ func (s *Server) adoptRecordLocked(rec store.JobRecord) bool {
 				}
 			}
 		}
-		var errPay *ErrorPayload
-		if len(rec.Error) > 0 {
-			var pay ErrorPayload
-			if json.Unmarshal(rec.Error, &pay) == nil {
-				errPay = &pay
-			}
-		}
-		s.finishWithLocked(local, rec.State, rec.Result, errPay, false)
+		s.finishWithLocked(local, rec.State, rec.Result, errorOf(rec), false)
 		if rec.State == StateDone && rec.Key != "" && len(rec.Result) > 0 {
 			s.cache.add(rec.Key, rec.Result)
 			s.persistCachePut(rec.Key, rec.Result)
@@ -911,21 +854,15 @@ func (s *Server) handleReplicaStatus(w http.ResponseWriter, r *http.Request) {
 			&ErrorPayload{Code: CodeNotFound, Message: fmt.Sprintf("no replica %q", id)})
 		return
 	}
-	st := JobStatus{
+	writeJSON(w, http.StatusOK, JobStatus{
 		ID:        rec.ID,
 		Key:       rec.Key,
 		State:     rec.State,
 		CacheHit:  rec.CacheHit,
 		Coalesced: rec.Coalesced,
+		Error:     errorOf(rec),
 		Result:    rec.Result,
-	}
-	if len(rec.Error) > 0 {
-		var pay ErrorPayload
-		if json.Unmarshal(rec.Error, &pay) == nil {
-			st.Error = &pay
-		}
-	}
-	writeJSON(w, http.StatusOK, st)
+	})
 }
 
 // handleReplicationTarget is PUT /v1/replication/target: the control
@@ -933,23 +870,19 @@ func (s *Server) handleReplicaStatus(w http.ResponseWriter, r *http.Request) {
 // instance at its replication target set.
 func (s *Server) handleReplicationTarget(w http.ResponseWriter, r *http.Request) {
 	var req ReplicationTarget
-	if !decodeInternal(w, r, &req) {
+	if !decodeInternal(w, r, &req, true) {
 		return
 	}
-	targets := req.list()
-	for _, u := range targets {
+	for _, u := range req.URLs {
 		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
 			writeError(w, http.StatusBadRequest, &ErrorPayload{
 				Code: CodeBadRequest, Message: fmt.Sprintf("replica target %q is not an http(s) URL", u)})
 			return
 		}
 	}
-	s.SetReplicaTargets(targets)
+	s.SetReplicaTargets(req.URLs)
 	resp := ReplicationTarget{URLs: s.rep.targets()}
 	sort.Strings(resp.URLs)
-	if len(resp.URLs) > 0 {
-		resp.URL = resp.URLs[0]
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -958,16 +891,24 @@ func (s *Server) handleReplicationTarget(w http.ResponseWriter, r *http.Request)
 // headroom than a single submission).
 const maxInternalBodyBytes = 256 << 20
 
-// decodeInternal parses an internal endpoint's JSON body; a false
-// return means the error response was already written.
-func decodeInternal(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodeInternal parses an internal endpoint's JSON body; strict also
+// rejects fields v does not have. A false return means the error
+// response was already written.
+func decodeInternal(w http.ResponseWriter, r *http.Request, v any, strict bool) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInternalBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest,
 			&ErrorPayload{Code: CodeBadRequest, Message: "reading request body: " + err.Error()})
 		return false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if strict {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	} else {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest,
 			&ErrorPayload{Code: CodeBadRequest, Message: "parsing request body: " + err.Error()})
 		return false

@@ -18,15 +18,14 @@ import (
 // in-process behind httptest.
 func replicationPair(t *testing.T) (primary, follower *httptest.Server) {
 	t.Helper()
-	// Two follower workers with batching off: a promoted blocking job
-	// must neither starve nor batch with the re-run of the promoted
-	// queued one (they share a topology).
+	// Two follower workers: a promoted blocking job must not starve the
+	// re-run of the promoted queued one.
 	_, follower = newConfiguredServer(t, server.Config{
-		Pool: 2, QueueSize: 8, CacheSize: 8, BatchSize: 1, IDPrefix: "p1-", Store: store.NewMemStore(),
+		Pool: 2, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: store.NewMemStore(),
 	})
 	_, primary = newConfiguredServer(t, server.Config{
 		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", Store: store.NewMemStore(),
-		ReplicaTarget: follower.URL,
+		ReplicaTargets: []string{follower.URL},
 	})
 	return primary, follower
 }
@@ -140,7 +139,7 @@ func TestReplicationPendingCountsInFlight(t *testing.T) {
 	t.Cleanup(follower.Close)
 	t.Cleanup(unblock)
 	_, primary := newConfiguredServer(t, server.Config{
-		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", ReplicaTarget: follower.URL,
+		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", ReplicaTargets: []string{follower.URL},
 	})
 	resp, got := post(t, primary.URL+"/v1/solve",
 		submitBody(t, tinyProblemJSON(t, "in-flight"), server.SolveSpec{}))
@@ -352,11 +351,11 @@ func TestReplicationTargetEndpoint(t *testing.T) {
 	}
 
 	if resp, _ := postPut(t, primary.URL+"/v1/replication/target",
-		server.ReplicationTarget{URL: "not-a-url"}); resp.StatusCode != http.StatusBadRequest {
+		server.ReplicationTarget{URLs: []string{"not-a-url"}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad target accepted: status %d", resp.StatusCode)
 	}
 	resp, tbody := postPut(t, primary.URL+"/v1/replication/target",
-		server.ReplicationTarget{URL: follower.URL})
+		server.ReplicationTarget{URLs: []string{follower.URL}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("set target status = %d (body %s)", resp.StatusCode, tbody)
 	}
@@ -370,8 +369,30 @@ func TestReplicationTargetEndpoint(t *testing.T) {
 	if err := json.Unmarshal(ibody, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.ReplicaTarget != follower.URL {
-		t.Fatalf("Info.ReplicaTarget = %q, want %q", info.ReplicaTarget, follower.URL)
+	if len(info.ReplicaTargets) != 1 || info.ReplicaTargets[0] != follower.URL {
+		t.Fatalf("Info.ReplicaTargets = %q, want [%q]", info.ReplicaTargets, follower.URL)
+	}
+}
+
+// TestReplicationTargetRejectsUnknownFields pins the strict decode of
+// PUT /v1/replication/target: a body with a field the set does not
+// have — the removed single-target {"url": ...} form — answers 400
+// bad_request and leaves the target set as it was, instead of reading
+// as the empty set and turning replication off.
+func TestReplicationTargetRejectsUnknownFields(t *testing.T) {
+	primary, follower := replicationPair(t)
+	resp, body := postPut(t, primary.URL+"/v1/replication/target",
+		map[string]string{"url": "http://127.0.0.1:1"})
+	if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != server.CodeBadRequest {
+		t.Fatalf(`{"url": ...} body: status %d (body %s), want 400 bad_request`, resp.StatusCode, body)
+	}
+	_, ibody := get(t, primary.URL+"/v1/info")
+	var info server.Info
+	if err := json.Unmarshal(ibody, &info); err != nil {
+		t.Fatal(err)
+	}
+	if len(info.ReplicaTargets) != 1 || info.ReplicaTargets[0] != follower.URL {
+		t.Fatalf("targets after the rejected body = %q, want [%q]", info.ReplicaTargets, follower.URL)
 	}
 }
 
@@ -384,7 +405,7 @@ func TestReplicationEvictionPropagates(t *testing.T) {
 	})
 	_, primary := newConfiguredServer(t, server.Config{
 		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", Store: store.NewMemStore(),
-		Retention: 1, ReplicaTarget: follower.URL,
+		Retention: 1, ReplicaTargets: []string{follower.URL},
 	})
 	first := submitBody(t, tinyProblemJSON(t, "evict-a"), server.SolveSpec{})
 	_, got := post(t, primary.URL+"/v1/solve", first)
@@ -429,4 +450,61 @@ func postPut(t *testing.T, url string, v any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
+}
+
+// TestReplayRetentionDropsPromotedReplica pins retention across a
+// restart for promoted jobs: when replay evicts a promoted job beyond
+// Retention, its replica record goes too, so a later promotion cannot
+// reinstall the job retention already let go.
+func TestReplayRetentionDropsPromotedReplica(t *testing.T) {
+	ms := store.NewMemStore()
+	svc, follower := newConfiguredServer(t, server.Config{
+		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: ms,
+	})
+	recs := []store.JobRecord{
+		{ID: "p0-job-00000001", Key: "k1", State: server.StateDone, Result: json.RawMessage(`{"n":1}`), Seq: 1},
+		{ID: "p0-job-00000002", Key: "k2", State: server.StateDone, Result: json.RawMessage(`{"n":2}`), Seq: 2},
+	}
+	if resp, body := postJSON(t, follower.URL+"/v1/replicate",
+		server.ReplicateRequest{Origin: "p0-", Records: recs}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("replicate: status %d (body %s)", resp.StatusCode, body)
+	}
+	promote := func(base string) server.PromoteResponse {
+		t.Helper()
+		resp, body := postJSON(t, base+"/v1/promote", server.PromoteRequest{Origin: "p0-"})
+		var pr server.PromoteResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil {
+			t.Fatalf("promote: status %d (body %s)", resp.StatusCode, body)
+		}
+		return pr
+	}
+	if pr := promote(follower.URL); pr.Promoted != 2 {
+		t.Fatalf("first promotion promoted %d, want 2", pr.Promoted)
+	}
+	svc.Close()
+
+	// Restart on the same store with room for one finished job: replay
+	// evicts the promoted job that finished first (promotion order
+	// follows map iteration, so either one may be it).
+	_, restarted := newConfiguredServer(t, server.Config{
+		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: ms, Retention: 1,
+	})
+	status := func(id string) int {
+		resp, _ := get(t, restarted.URL+"/v1/jobs/"+id)
+		return resp.StatusCode
+	}
+	evicted, kept := recs[0].ID, recs[1].ID
+	if status(evicted) == http.StatusOK {
+		evicted, kept = kept, evicted
+	}
+	if status(evicted) != http.StatusNotFound || status(kept) != http.StatusOK {
+		t.Fatalf("after the restart %s answers %d and %s answers %d, want one 404 and one 200",
+			evicted, status(evicted), kept, status(kept))
+	}
+	if pr := promote(restarted.URL); pr.Promoted != 0 {
+		t.Fatalf("second promotion promoted %d, want 0", pr.Promoted)
+	}
+	if status(evicted) != http.StatusNotFound {
+		t.Fatalf("evicted job %s answers %d after the second promotion, want 404", evicted, status(evicted))
+	}
 }

@@ -14,8 +14,7 @@ import (
 )
 
 // Config sizes the service. The zero value is usable: one worker per
-// CPU, a 256-deep queue, a 128-entry result cache and batches of up to
-// 8 same-topology jobs per worker pass.
+// CPU, a 256-deep queue and a 128-entry result cache.
 type Config struct {
 	// Pool is the number of concurrent solver workers (<= 0: one per
 	// CPU). Problems on the same small topology share one interned
@@ -28,9 +27,6 @@ type Config struct {
 	// CacheSize is the LRU result-cache capacity in entries (0: 128;
 	// negative: caching disabled).
 	CacheSize int
-	// BatchSize is how many same-topology jobs one worker drains from
-	// the queue in a single pass (<= 0: 8).
-	BatchSize int
 	// Retention bounds how many finished jobs keep their status
 	// queryable via GET /v1/jobs/{id} (<= 0: 1024). Jobs are evicted in
 	// terminal-transition order — the job that finished longest ago goes
@@ -51,15 +47,13 @@ type Config struct {
 	// "s0-job-00000001"). Give each backend behind a shard router a
 	// distinct prefix so the router can route an ID back to its owner.
 	IDPrefix string
-	// ReplicaTarget, when non-empty, is the base URL of this instance's
-	// ring successor: every job record and terminal result is
-	// asynchronously pushed there over POST /v1/replicate, so the
+	// ReplicaTargets, when non-empty, are the base URLs of this
+	// instance's ring successors: every job record and terminal result
+	// is asynchronously pushed to each over POST /v1/replicate, so a
 	// successor can answer for this instance after a failure. A shard
-	// router normally manages the target at runtime via
+	// router normally manages the set at runtime via
 	// PUT /v1/replication/target; the config field seeds standalone
-	// pairs. ReplicaTargets is the replication-factor-R form; when both
-	// are set, ReplicaTarget joins the set.
-	ReplicaTarget  string
+	// fleets.
 	ReplicaTargets []string
 	// DurableAckWait bounds how long a durability=replicated submission
 	// ack is held waiting for a follower acknowledgment before it
@@ -91,9 +85,6 @@ func (c Config) withDefaults() Config {
 	} else if c.CacheSize < 0 {
 		c.CacheSize = 0
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
 	if c.Retention <= 0 {
 		c.Retention = 1024
 	}
@@ -108,9 +99,8 @@ func (c Config) withDefaults() Config {
 
 // job is one submission moving through the queue.
 type job struct {
-	id   string
-	key  string // canonical problem+options hash (cache / coalescing)
-	tkey string // topology spec (batch affinity)
+	id  string
+	key string // canonical problem+options hash (cache / coalescing)
 
 	// problem and canon are dropped when the job finishes: terminal
 	// records never carry the problem, and a retained status must not
@@ -263,13 +253,7 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	targets := append([]string(nil), s.cfg.ReplicaTargets...)
-	if s.cfg.ReplicaTarget != "" {
-		targets = append(targets, s.cfg.ReplicaTarget)
-	}
-	if len(targets) > 0 {
-		s.SetReplicaTargets(targets)
-	}
+	s.SetReplicaTargets(s.cfg.ReplicaTargets)
 	return s, nil
 }
 
@@ -277,16 +261,12 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Info() Info {
 	targets := s.rep.targets()
 	sort.Strings(targets)
-	info := Info{
+	return Info{
 		IDPrefix:       s.cfg.IDPrefix,
 		Profile:        s.cfg.Profile,
 		Durable:        s.cfg.Store != nil,
 		ReplicaTargets: targets,
 	}
-	if len(targets) > 0 {
-		info.ReplicaTarget = targets[0]
-	}
-	return info
 }
 
 // Close stops accepting jobs, cancels everything queued or running,
@@ -384,17 +364,12 @@ type submitError struct {
 	payload *ErrorPayload
 }
 
-func (e *submitError) Error() string { return e.payload.Error() }
-
 // submit validates nothing (the handler already parsed and normalized);
-// it classifies the job — cache hit, coalesced follower or fresh leader
-// — and enqueues leaders.
+// it mints the job's ID and admits it. Only a job that would need a
+// queue slot can be turned away by a full queue.
 func (s *Server) submit(p *nocmap.Problem, problemJSON []byte, spec SolveSpec) (*job, *submitError) {
-	key := JobKey(problemJSON, spec)
-	topo := p.Topology()
 	j := &job{
-		key:     key,
-		tkey:    fmt.Sprintf("%s/%dx%d", topo.Kind, topo.W, topo.H),
+		key:     JobKey(problemJSON, spec),
 		problem: p,
 		spec:    spec,
 		canon:   problemJSON,
@@ -417,33 +392,39 @@ func (s *Server) submit(p *nocmap.Problem, problemJSON []byte, spec SolveSpec) (
 			payload: &ErrorPayload{Code: CodeQueueFull,
 				Message: fmt.Sprintf("store write-behind full (%d ops pending)", s.outSeq-s.outFlushed)}}
 	}
-	if cached, ok := s.cache.get(key); ok {
-		s.registerLocked(j)
-		s.finishCachedLocked(j, cached)
-		return j, nil
+	if len(s.queue) >= s.cfg.QueueSize && s.cache.items[j.key] == nil && s.leaders[j.key] == nil {
+		return nil, &submitError{status: 429,
+			payload: &ErrorPayload{Code: CodeQueueFull,
+				Message: fmt.Sprintf("queue full (%d jobs waiting)", len(s.queue))}}
 	}
-	if leader, ok := s.leaders[key]; ok {
-		s.registerLocked(j)
+	s.registerLocked(j)
+	s.admitLocked(j)
+	return j, nil
+}
+
+// admitLocked places a job that carries its ID: finished from the
+// result cache, coalesced onto an unfinished leader with the same key,
+// or queued as a new leader. Live submissions and replayed, promoted or
+// migrated live records all enter here. Callers hold s.mu.
+func (s *Server) admitLocked(j *job) {
+	if cached, ok := s.cache.get(j.key); ok {
+		s.finishCachedLocked(j, cached)
+		return
+	}
+	if leader, ok := s.leaders[j.key]; ok {
 		j.state = leader.state
 		j.coalesced = true
 		j.leader = leader
 		leader.followers = append(leader.followers, j)
 		s.stats.Coalesced++
 		s.persistJob(j)
-		return j, nil
+		return
 	}
-	if len(s.queue) >= s.cfg.QueueSize {
-		return nil, &submitError{status: 429,
-			payload: &ErrorPayload{Code: CodeQueueFull,
-				Message: fmt.Sprintf("queue full (%d jobs waiting)", len(s.queue))}}
-	}
-	s.registerLocked(j)
 	j.state = StateQueued
-	s.leaders[key] = j
+	s.leaders[j.key] = j
 	s.queue = append(s.queue, j)
 	s.persistJob(j)
 	s.cond.Signal()
-	return j, nil
 }
 
 // enqueueOpLocked appends one store mutation to the persistence outbox
@@ -696,6 +677,12 @@ func (s *Server) finishCachedLocked(j *job, cached json.RawMessage) {
 // eviction; only lookup by ID ends.)
 func (s *Server) retainLocked(j *job) {
 	s.doneOrder = append(s.doneOrder, j.id)
+	s.evictBeyondRetentionLocked()
+}
+
+// evictBeyondRetentionLocked evicts the oldest finished statuses
+// beyond Config.Retention, from memory and from the store.
+func (s *Server) evictBeyondRetentionLocked() {
 	for len(s.doneOrder) > s.cfg.Retention {
 		evicted := s.doneOrder[0]
 		delete(s.jobs, evicted)
@@ -816,8 +803,8 @@ func (s *Server) finishWithLocked(j *job, state string, result json.RawMessage, 
 	j.followers = nil
 }
 
-// worker is one pool goroutine: it drains batches of same-topology jobs
-// and solves them back to back.
+// worker is one pool goroutine: it pops the head of the queue and
+// solves it.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -829,31 +816,12 @@ func (s *Server) worker() {
 			s.mu.Unlock()
 			return
 		}
-		batch := s.takeBatchLocked()
+		j := s.queue[0]
+		s.queue[0] = nil // drop the popped job's reference from the backing array
+		s.queue = s.queue[1:]
 		s.mu.Unlock()
-		for _, j := range batch {
-			s.solve(j)
-		}
+		s.solve(j)
 	}
-}
-
-// takeBatchLocked pops the head job plus up to BatchSize-1 more queued
-// jobs on the same topology, so one worker pass solves them back to
-// back.
-func (s *Server) takeBatchLocked() []*job {
-	head := s.queue[0]
-	batch := []*job{head}
-	rest := s.queue[1:]
-	kept := rest[:0] // filter the remainder in place
-	for _, j := range rest {
-		if len(batch) < s.cfg.BatchSize && j.tkey == head.tkey {
-			batch = append(batch, j)
-		} else {
-			kept = append(kept, j)
-		}
-	}
-	s.queue = kept
-	return batch
 }
 
 // solve runs one job to completion on the calling worker goroutine.

@@ -13,6 +13,7 @@ import (
 
 	"repro/nocmap"
 	"repro/nocmap/server"
+	"repro/nocmap/store"
 )
 
 // The blocking test algorithm lets the tests hold a solve mid-flight:
@@ -73,10 +74,16 @@ func newConfiguredServer(t *testing.T, cfg server.Config) (*server.Server, *http
 // tinyProblemJSON is a 3-core application on a 2x2 mesh.
 func tinyProblemJSON(t *testing.T, name string) []byte {
 	t.Helper()
+	return meshProblemJSON(t, name, 2, 2)
+}
+
+// meshProblemJSON is tinyProblemJSON's application on a w x h mesh.
+func meshProblemJSON(t *testing.T, name string, w, h int) []byte {
+	t.Helper()
 	app := nocmap.NewCoreGraph(name)
 	app.Connect("a", "b", 100)
 	app.Connect("b", "c", 50)
-	mesh, err := nocmap.NewMesh(2, 2, 1000)
+	mesh, err := nocmap.NewMesh(w, h, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,27 +609,58 @@ func TestHealthAndAlgorithms(t *testing.T) {
 	}
 }
 
-// TestBatchingSameTopology pushes several identical-topology problems
-// through one worker's batches and asserts each is solved on its own.
+// TestBatchingSameTopology pins that the queue has no topology
+// affinity: one worker solves queued jobs strictly in submission order,
+// so jobs on one topology are never pulled ahead of an earlier job on
+// another. The terminal-transition seqs in the store record the order.
 func TestBatchingSameTopology(t *testing.T) {
-	svc, ts := newConfiguredServer(t, server.Config{Pool: 1, QueueSize: 16, CacheSize: 0, BatchSize: 4})
-	problem := tinyProblemJSON(t, "tiny-batch")
-	// Same problem, distinct cache keys (caching is off anyway) via
-	// different PBB budgets so nothing coalesces.
-	ids := []string{}
+	ms := store.NewMemStore()
+	svc, ts := newConfiguredServer(t, server.Config{Pool: 1, QueueSize: 16, CacheSize: 0, Store: ms})
+	// Hold the worker so every job below is queued before any runs.
+	_, got := post(t, ts.URL+"/v1/jobs",
+		submitBody(t, tinyProblemJSON(t, "fifo-hold"), server.SolveSpec{Algorithm: "test-block"}))
+	hold := decodeStatus(t, got)
+	<-blockUp
+	small := tinyProblemJSON(t, "fifo")
+	wide := meshProblemJSON(t, "fifo", 3, 2)
+	var ids []string
 	for i := 0; i < 4; i++ {
+		problem := small
+		if i%2 == 1 {
+			problem = wide
+		}
+		// Distinct PBB budgets give distinct keys, so nothing coalesces.
 		_, got := post(t, ts.URL+"/v1/jobs",
 			submitBody(t, problem, server.SolveSpec{Algorithm: "pbb", MaxExpand: 100 + i}))
-		var st server.JobStatus
-		if err := json.Unmarshal(got, &st); err != nil {
-			t.Fatalf("submit %d: %v (%s)", i, err, got)
-		}
-		ids = append(ids, st.ID)
+		ids = append(ids, decodeStatus(t, got).ID)
 	}
+	blockDone <- struct{}{}
+	waitState(t, ts.URL, hold.ID, server.StateDone)
 	for _, id := range ids {
 		waitState(t, ts.URL, id, server.StateDone)
 	}
-	if st := svc.Stats(); st.Solved != uint64(len(ids)) {
-		t.Fatalf("stats = %+v, want %d solves", st, len(ids))
+	svc.Close() // flush the outbox
+	snap, err := ms.Load()
+	if err != nil {
+		t.Fatal(err)
 	}
+	seq := make(map[string]uint64, len(snap.Jobs))
+	for _, rec := range snap.Jobs {
+		seq[rec.ID] = rec.Seq
+	}
+	for i := 1; i < len(ids); i++ {
+		if seq[ids[i-1]] >= seq[ids[i]] {
+			t.Fatalf("job %d (%s, seq %d) finished after job %d (%s, seq %d): queue order broken",
+				i-1, ids[i-1], seq[ids[i-1]], i, ids[i], seq[ids[i]])
+		}
+	}
+}
+
+func decodeStatus(t *testing.T, body []byte) server.JobStatus {
+	t.Helper()
+	var st server.JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("decoding status: %v (%s)", err, body)
+	}
+	return st
 }

@@ -233,12 +233,8 @@ type Info struct {
 	// Durable reports whether a persistent job store backs this
 	// instance (jobs and results survive a restart).
 	Durable bool `json:"durable"`
-	// ReplicaTarget is the first replication target this instance pushes
-	// its job records to ("" when replication is off) — the single-target
-	// view kept for R=1 fleets; ReplicaTargets is the full set.
-	ReplicaTarget string `json:"replica_target,omitempty"`
-	// ReplicaTargets is the full replication target set (the instance's
-	// first R ring successors), sorted.
+	// ReplicaTargets is the replication target set (the instance's first
+	// R ring successors), sorted; empty when replication is off.
 	ReplicaTargets []string `json:"replica_targets,omitempty"`
 }
 

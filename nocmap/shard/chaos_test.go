@@ -279,10 +279,20 @@ func startProc(t *testing.T, bin string, args []string, logPath string) *exec.Cm
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		logf.Close()
-		if cmd.ProcessState == nil {
+		defer logf.Close()
+		if cmd.ProcessState != nil {
+			return
+		}
+		// Stop gracefully, so a -cover build writes its counters
+		// (scripts/census.sh); kill a process that ignores SIGTERM.
+		cmd.Process.Signal(syscall.SIGTERM)
+		done := make(chan struct{})
+		go func() { cmd.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(15 * time.Second):
 			cmd.Process.Kill()
-			cmd.Wait()
+			<-done
 		}
 	})
 	addrFromLog(t, logPath)

@@ -197,7 +197,7 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 		}
 		// Decommission: stop the departed backend's replication stream.
 		rt.postJSONMethod(r.Context(), http.MethodPut, url+"/v1/replication/target", //nocmapvet:allow blockingunderlock elasticMu intentionally serializes membership changes end-to-end; docs/STATIC_ANALYSIS.md#baselines
-			server.ReplicationTarget{URL: ""}, nil)
+			server.ReplicationTarget{}, nil)
 	}
 	rt.count(func(s *RouterStats) { s.Migrated += uint64(migrated) })
 

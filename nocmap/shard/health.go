@@ -268,9 +268,6 @@ func (rt *Router) failoverTarget(ctx context.Context, topo *topology, b int) (in
 // answers probes again.
 func (rt *Router) pushReplicationTarget(ctx context.Context, topo *topology, i int) {
 	target := server.ReplicationTarget{URLs: rt.successorURLs(topo, i)}
-	if len(target.URLs) > 0 {
-		target.URL = target.URLs[0]
-	}
 	var resp server.ReplicationTarget
 	_ = rt.postJSONMethod(ctx, http.MethodPut, topo.backends[i]+"/v1/replication/target",
 		target, &resp)

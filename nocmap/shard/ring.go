@@ -109,16 +109,6 @@ func successorsOf(backends []string, b, r int) []int {
 	return nil
 }
 
-// replicationSuccessor is successorsOf with r=1 flattened to a single
-// index: the first ring successor, or -1 when there is none.
-func replicationSuccessor(backends []string, b int) int {
-	succ := successorsOf(backends, b, 1)
-	if len(succ) == 0 {
-		return -1
-	}
-	return succ[0]
-}
-
 // sequence returns every distinct backend in ring order starting at the
 // key's owner: the failover order when backends are unreachable.
 func (r *ring) sequence(key string) []int {

@@ -27,7 +27,11 @@ func TestReplicationSuccessorPlacement(t *testing.T) {
 		backends := syntheticBackends(n)
 		succOf := map[string]string{}
 		for i := range backends {
-			s := replicationSuccessor(backends, i)
+			succ := successorsOf(backends, i, 1)
+			if len(succ) != 1 {
+				t.Fatalf("n=%d: successorsOf(%d, 1) = %v, want one holder", n, i, succ)
+			}
+			s := succ[0]
 			if s < 0 || s >= n {
 				t.Fatalf("n=%d: successor(%d) = %d out of range", n, i, s)
 			}
@@ -52,7 +56,7 @@ func TestReplicationSuccessorPlacement(t *testing.T) {
 		shuffled := append([]string(nil), backends...)
 		rng.Shuffle(n, func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
 		for i, b := range shuffled {
-			s := replicationSuccessor(shuffled, i)
+			s := successorsOf(shuffled, i, 1)[0]
 			if shuffled[s] != succOf[b] {
 				t.Fatalf("n=%d: successor of %s changed with list order: %s vs %s",
 					n, b, shuffled[s], succOf[b])
@@ -66,18 +70,18 @@ func TestReplicationSuccessorPlacement(t *testing.T) {
 // self-directed), and a two-backend fleet replicates symmetrically —
 // each is the other's follower.
 func TestReplicationSuccessorDegenerateRings(t *testing.T) {
-	if got := replicationSuccessor(syntheticBackends(1), 0); got != -1 {
-		t.Fatalf("single backend: successor = %d, want -1", got)
+	if got := successorsOf(syntheticBackends(1), 0, 1); len(got) != 0 {
+		t.Fatalf("single backend: successors = %v, want none", got)
 	}
 	two := syntheticBackends(2)
-	if got := replicationSuccessor(two, 0); got != 1 {
-		t.Fatalf("two backends: successor(0) = %d, want 1", got)
+	if got := successorsOf(two, 0, 1); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("two backends: successorsOf(0) = %v, want [1]", got)
 	}
-	if got := replicationSuccessor(two, 1); got != 0 {
-		t.Fatalf("two backends: successor(1) = %d, want 0", got)
+	if got := successorsOf(two, 1, 1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("two backends: successorsOf(1) = %v, want [0]", got)
 	}
-	if got := replicationSuccessor(two, 2); got != -1 {
-		t.Fatalf("out-of-range backend: successor = %d, want -1", got)
+	if got := successorsOf(two, 2, 1); len(got) != 0 {
+		t.Fatalf("out-of-range backend: successors = %v, want none", got)
 	}
 }
 
@@ -85,7 +89,7 @@ func TestReplicationSuccessorDegenerateRings(t *testing.T) {
 // of successor placement for R in {1,2,3}: the holder set has exactly
 // min(R, n-1) members, every member is a valid index, distinct from
 // every other and never the backend itself, the first member agrees
-// with the legacy single-successor mapping, and the whole ordered set
+// with the r=1 successor, and the whole ordered set
 // is a pure function of the membership SET — shuffling the backend
 // list permutes indices but maps to the same URLs in the same order.
 func TestSuccessorsOfProperties(t *testing.T) {
@@ -119,8 +123,8 @@ func TestSuccessorsOfProperties(t *testing.T) {
 					seen[s] = true
 					urls = append(urls, backends[s])
 				}
-				if first := replicationSuccessor(backends, i); backends[first] != urls[0] {
-					t.Fatalf("r=%d n=%d: first holder %s disagrees with replicationSuccessor %s",
+				if first := successorsOf(backends, i, 1)[0]; backends[first] != urls[0] {
+					t.Fatalf("r=%d n=%d: first holder %s disagrees with the r=1 successor %s",
 						r, n, urls[0], backends[first])
 				}
 				holdersOf[backends[i]] = urls

@@ -264,16 +264,6 @@ func (rt *Router) Owner(key string) string {
 	return topo.backends[topo.ring.owner(key)]
 }
 
-// Successor returns the first backend URL that holds a backend's
-// replicas — its immediate ring successor — or "" for a single-backend
-// fleet.
-func (rt *Router) Successor(backend string) string {
-	if succ := rt.Successors(backend); len(succ) > 0 {
-		return succ[0]
-	}
-	return ""
-}
-
 // Successors returns the full replica holder set for a backend — its
 // ReplicationFactor distinct ring successors, nearest first — or nil
 // for a single-backend fleet.
@@ -783,11 +773,9 @@ type ShardBackend struct {
 	// Health is the probed state: "up", "degraded" or "down". Without
 	// probing (Config.ProbeInterval zero) every backend reads "up".
 	Health string `json:"health"`
-	// Successor is the first backend holding this one's replicas ("" for
-	// a single-backend fleet).
-	Successor string `json:"successor,omitempty"`
-	// Successors is the full replica holder set — the backend's
-	// ReplicationFactor distinct ring successors, nearest first.
+	// Successors is the replica holder set — the backend's
+	// ReplicationFactor distinct ring successors, nearest first (empty
+	// for a single-backend fleet).
 	Successors []string `json:"successors,omitempty"`
 	// ReplicationLag is the backend's summed acked-watermark lag across
 	// its replication streams (terminal records sent but not yet
@@ -843,9 +831,6 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 			Successors:         rt.successorURLs(topo, i),
 			ReplicationLag:     lag[i],
 			ReplicationStalled: stalled[i],
-		}
-		if len(row.Successors) > 0 {
-			row.Successor = row.Successors[0]
 		}
 		info.Fleet = append(info.Fleet, row)
 	}

@@ -42,7 +42,6 @@ type FaultStore struct {
 	failNext  int           // the next n ops fail
 	latency   time.Duration // pre-op delay
 	torn      bool          // apply before failing
-	injected  uint64        // faults injected so far
 }
 
 // NewFaultStore wraps inner with every fault dial off.
@@ -82,13 +81,6 @@ func (f *FaultStore) SetTorn(torn bool) {
 	f.torn = torn
 }
 
-// Injected returns how many faults have fired.
-func (f *FaultStore) Injected() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
-}
-
 // ApplyOps implements JobStore. The whole batch counts as ONE mutating
 // op against the fault dials — faults are modeled at fsync
 // granularity, which is exactly what a batched commit is. A non-torn
@@ -106,9 +98,6 @@ func (f *FaultStore) ApplyOps(ops []Op) error {
 		fail = true
 	}
 	torn := f.torn
-	if fail {
-		f.injected++
-	}
 	f.mu.Unlock()
 
 	if delay > 0 {

@@ -174,11 +174,16 @@ func Open(dir string) (*FileStore, error) { return OpenConfig(dir, FileConfig{})
 // segments the snapshot already covers, dropping a torn trailing line
 // left by a crash mid-append, and removing a stale snapshot.json.tmp
 // left by a compaction the crash interrupted — then leaves the active
-// segment open for appending and starts the compactor goroutine. A
-// pre-segment wal.jsonl is migrated to segment 1 in place.
+// segment open for appending and starts the compactor goroutine. It
+// refuses a directory holding a wal.jsonl, the single-file WAL of a
+// store from before WAL segments, rather than start empty beside it.
 func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); err == nil {
+		return nil, fmt.Errorf("store: %s holds %s, a single-file WAL from before WAL segments, which this version cannot read",
+			dir, legacyWALFile)
 	}
 	fs := &FileStore{
 		dir:           dir,
@@ -209,20 +214,6 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Migrate a pre-segment store: its single wal.jsonl becomes segment 1.
-	if _, err := os.Stat(fs.path(legacyWALFile)); err == nil {
-		if len(segs) > 0 {
-			return nil, fmt.Errorf("store: both %s and wal segments present in %s", legacyWALFile, dir)
-		}
-		if err := os.Rename(fs.path(legacyWALFile), fs.path(segmentName(1))); err != nil {
-			return nil, fmt.Errorf("store: migrating legacy wal: %w", err)
-		}
-		if err := syncDir(dir); err != nil {
-			return nil, fmt.Errorf("store: syncing dir after wal migration: %w", err)
-		}
-		segs = []uint64{1}
-	}
-
 	snapSeq, err := readSnapshot(fs.path(snapshotFile), &fs.state)
 	if err != nil {
 		return nil, err

@@ -429,40 +429,30 @@ func TestSingleOpApplyFailureGoesReadOnly(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration: a pre-segment store (single wal.jsonl, no
-// wal_seq in the snapshot) must open cleanly, its WAL becoming
-// segment 1.
+// TestLegacyWALMigration: a store from before WAL segments (a single
+// wal.jsonl) is refused with an error naming the file, and the
+// directory is left as it was — Open never starts empty over it.
 func TestLegacyWALMigration(t *testing.T) {
 	dir := t.TempDir()
-	legacySnap := `{"jobs":[{"id":"job-old","key":"key-job-old","state":"done","seq":1}],"cache":null,"replicas":null}`
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(legacySnap+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacyWAL := `{"op":"job","job":{"id":"job-new","key":"key-job-new","state":"done","seq":2}}` + "\n"
+	legacyWAL := `{"op":"job","job":{"id":"job-old","key":"key-job-old","state":"done","seq":1}}` + "\n"
 	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), []byte(legacyWAL), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := Open(dir)
-	if err != nil {
-		t.Fatalf("opening a legacy store: %v", err)
+	if fs, err := Open(dir); err == nil || !strings.Contains(err.Error(), legacyWALFile) {
+		if fs != nil {
+			fs.Close()
+		}
+		t.Fatalf("Open over a wal.jsonl = %v, want an error naming %s", err, legacyWALFile)
 	}
-	defer fs.Close()
-	snap, err := fs.Load()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Jobs) != 2 {
-		t.Fatalf("legacy state = %+v, want snapshot job + wal job", snap.Jobs)
+	if len(entries) != 1 || entries[0].Name() != legacyWALFile {
+		t.Fatalf("refused directory changed: %v", entries)
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy wal.jsonl survived migration (err=%v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, segmentName(1))); err != nil {
-		t.Fatalf("legacy wal was not migrated to segment 1: %v", err)
-	}
-	// And appends keep working in the migrated store.
-	if err := Apply(fs, PutJob(irec("job-after", 3, ""))); err != nil {
-		t.Fatal(err)
+	if got, err := os.ReadFile(filepath.Join(dir, legacyWALFile)); err != nil || string(got) != legacyWAL {
+		t.Fatalf("wal.jsonl changed: %q (err=%v)", got, err)
 	}
 }
 

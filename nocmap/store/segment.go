@@ -27,8 +27,8 @@ const (
 	snapshotFile    = "snapshot.json"
 	snapshotTmpFile = snapshotFile + ".tmp"
 
-	// legacyWALFile is the pre-segment single-file WAL; Open migrates it
-	// to segment 1 so old stores keep working.
+	// legacyWALFile is the single-file WAL of a store from before WAL
+	// segments; Open refuses a directory that holds one.
 	legacyWALFile = "wal.jsonl"
 )
 
@@ -38,7 +38,7 @@ func segmentName(seq uint64) string {
 }
 
 // parseSegmentName extracts the sequence number from a segment file
-// name, or ok=false for any other name (including the legacy WAL).
+// name, or ok=false for any other name (including wal.jsonl).
 func parseSegmentName(name string) (uint64, bool) {
 	body, ok := strings.CutPrefix(name, segmentPrefix)
 	if !ok {
@@ -136,7 +136,7 @@ func replaySegment(path string, state *memState, active bool) (ops int, good int
 
 // readSnapshot streams snapshot.json into state and returns the
 // highest WAL segment the snapshot has folded (its wal_seq field; 0
-// for a missing file or a pre-segment snapshot). The decode is
+// for a missing file). The decode is
 // token-streamed — one record in memory at a time, never the whole
 // multi-GB document in one buffer.
 func readSnapshot(path string, state *memState) (walSeq uint64, err error) {
@@ -219,15 +219,12 @@ func expectDelim(dec *json.Decoder, want rune) error {
 	return nil
 }
 
-// decodeArray consumes a JSON array (or a bare null), calling elem once
-// per element with the decoder positioned at it.
+// decodeArray consumes a JSON array, calling elem once per element
+// with the decoder positioned at it.
 func decodeArray(dec *json.Decoder, elem func() error) error {
 	tok, err := dec.Token()
 	if err != nil {
 		return err
-	}
-	if tok == nil {
-		return nil // null section: an empty pre-segment snapshot
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '[' {
 		return fmt.Errorf("unexpected token %v (want array)", tok)

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Smoke test for nocmapd: boot the real binary on an ephemeral port and
 # drive the HTTP API with curl — health, a synchronous solve, an async
-# submit/status round trip, a recorded cache hit, a durable-store
-# restart, and a sharded deployment (nocmapsh router fronting two
-# backends). CI runs this via `make server-smoke`; it needs only bash,
-# curl and the Go toolchain.
+# submit/status round trip, a recorded cache hit, a cancel, a
+# durable-store restart over a compacted store, a sharded deployment
+# (nocmapsh router fronting two backends, a third joining and leaving)
+# and a replicated fleet (a replica read, failover, rejoin). CI runs
+# this via `make server-smoke`; it needs only bash, curl and the Go
+# toolchain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,20 +94,47 @@ bad=$(curl -sS "$base/v1/jobs" -d '{
     "topology": {"kind": "mesh", "w": 2, "h": 2, "link_bw": 100}}}')
 grep -q '"code":"infeasible_bandwidth"' <<<"$bad" || fail "infeasible problem not typed" "$bad"
 
+echo "== cancel a running solve (DELETE /v1/jobs/{id})"
+# A 16-core PBB search that runs for about a second.
+edges=""
+for i in $(seq 0 15); do edges+="{\"from\":\"c$i\",\"to\":\"c$(( (i + 1) % 16 ))\",\"bw\":$(( 40 + i ))},"; done
+for i in $(seq 0 2 15); do edges+="{\"from\":\"c$i\",\"to\":\"c$(( (i + 5) % 16 ))\",\"bw\":$(( 25 + i ))},"; done
+slow="{\"problem\":{\"app\":{\"edges\":[${edges%,}]},\"topology\":{\"kind\":\"mesh\",\"w\":4,\"h\":4,\"link_bw\":5000}},
+  \"options\":{\"algorithm\":\"pbb\",\"max_queue\":4000,\"max_expand\":50000}}"
+sjob=$(curl -fsS "$base/v1/jobs" -d "$slow")
+sid=$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' <<<"$sjob")
+[[ -n "$sid" ]] || fail "slow submit returned no job id" "$sjob"
+curl -fsS -X DELETE "$base/v1/jobs/$sid" >/dev/null
+for _ in $(seq 1 100); do
+    cstatus=$(curl -fsS "$base/v1/jobs/$sid")
+    grep -q '"state":"cancelled"' <<<"$cstatus" && break
+    sleep 0.1
+done
+grep -q '"state":"cancelled"' <<<"$cstatus" || fail "cancelled job did not end cancelled" "$cstatus"
+grep -q '"cancelled":1' <<<"$(curl -fsS "$base/v1/stats")" || fail "stats did not count the cancel" "$cstatus"
+
 echo "== graceful shutdown"
 kill -TERM "$server_pid"
 wait "$server_pid" || true
 server_pid=""
 
 echo "== durable store: results survive a hard restart"
+# A one-byte compaction threshold, so the reboot reads a snapshot as
+# well as the WAL segments written after it.
 storedir="$workdir/store"
 dlog="$workdir/durable.log"
-"$bin" -addr 127.0.0.1:0 -pool 1 -store "$storedir" >"$dlog" 2>&1 &
+"$bin" -addr 127.0.0.1:0 -pool 1 -store "$storedir" -store-compact-bytes 1 >"$dlog" 2>&1 &
 dpid=$!; pids+=("$dpid")
 dbase=$(wait_addr "$dlog" "$dpid")
 first=$(curl -fsS "$dbase/v1/solve" -d "$problem")
 grep -q '"state":"done"' <<<"$first" || fail "durable solve" "$first"
 jobid=$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' <<<"$first")
+for _ in $(seq 1 100); do
+    dstats=$(curl -fsS "$dbase/v1/stats")
+    grep -qE '"compactions":[1-9]' <<<"$dstats" && break
+    sleep 0.1
+done
+grep -qE '"compactions":[1-9]' <<<"$dstats" || fail "the store never compacted" "$dstats"
 kill -9 "$dpid"; wait "$dpid" 2>/dev/null || true
 dlog2="$workdir/durable2.log"
 "$bin" -addr 127.0.0.1:0 -pool 1 -store "$storedir" >"$dlog2" 2>&1 &
@@ -157,6 +186,19 @@ grep -q '"cache_hits":1' <<<"$mstats" || fail "merged stats missing the fleet ca
 malgos=$(curl -fsS "$router/v1/algorithms")
 grep -q 'nmap-split' <<<"$malgos" || fail "merged algorithms" "$malgos"
 
+# Elastic membership: a third backend joins the ring, then leaves it.
+b2log="$workdir/b2.log"
+"$bin" -addr 127.0.0.1:0 -pool 1 -id-prefix s2- >"$b2log" 2>&1 &
+b2pid=$!; pids+=("$b2pid")
+b2=$(wait_addr "$b2log" "$b2pid")
+joined=$(curl -fsS "$router/v1/shards/join" -d "{\"url\":\"$b2\"}")
+grep -q "\"$b2\"" <<<"$joined" || fail "join did not add the backend" "$joined"
+left=$(curl -fsS "$router/v1/shards/leave" -d "{\"url\":\"$b2\"}")
+grep -q "\"$b2\"" <<<"$left" && fail "leave did not remove the backend" "$left"
+kill -TERM "$b2pid"; wait "$b2pid" 2>/dev/null || true
+routed_after=$(curl -fsS "$router/v1/solve" -d "$problem")
+grep -q '"cache_hit":true' <<<"$routed_after" || fail "routing changed after join+leave" "$routed_after"
+
 # Failover: kill one backend; submissions must keep succeeding.
 kill -9 "$b1pid"; wait "$b1pid" 2>/dev/null || true
 survive=$(curl -fsS "$router/v1/solve" -d "${problem/nmap-single/pmap}")
@@ -196,6 +238,12 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 grep -qE '"replicas":[1-9]' <<<"$rstats" || fail "replication never converged" "$rstats"
+
+# The follower serves the replica's status before any promotion.
+if [[ "$rrid" == r0-* ]]; then follower=$r1; else follower=$r0; fi
+replica=$(curl -fsS "$follower/v1/replicas/$rrid")
+grep -q "\"id\":\"$rrid\"" <<<"$replica" && grep -q '"state":"done"' <<<"$replica" \
+    || fail "follower did not serve the replica" "$replica"
 
 # The job's exact answer, then SIGKILL the backend that owns it.
 before=$(curl -fsSL "$rrouter/v1/jobs/$rrid")
