@@ -33,9 +33,8 @@ fuzz-smoke:
 # and one nocbench run per workload; prints every function in
 # nocmap/{server,shard,store} those runs leave at 0%. Output in .census/.
 # Takes a few minutes; not part of CI.
-CENSUS_SECONDS ?= 8
 census:
-	bash scripts/census.sh $(CENSUS_SECONDS)
+	bash scripts/census.sh
 
 # Per-package coverage floors (scripts/cover_thresholds.txt). CI fails
 # when nocmap, nocmap/server, nocmap/store or nocmap/shard drop below

@@ -233,7 +233,7 @@ func TestStoreBackpressure429(t *testing.T) {
 // returns, every record the server decided is in the store, even with
 // each flushed batch paying 50ms on a slow disk.
 func TestCloseDrainsToDisk(t *testing.T) {
-	fs, err := store.Open(t.TempDir())
+	fs, err := store.OpenConfig(t.TempDir(), store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestCloseDrainsToDisk(t *testing.T) {
 // reach the WAL in its submission order, queued before terminal.
 func TestWALOrderIsOutboxOrder(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := store.Open(dir)
+	fs, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

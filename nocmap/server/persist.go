@@ -250,7 +250,8 @@ func (s *Server) recoverLive(rec store.JobRecord) {
 	j.problem = &p
 	j.spec = spec
 	j.key = JobKey(rec.Problem, spec) // recompute: guards against hash drift
-	s.admitLocked(j)
+	cached, leader := s.placeLocked(j.key)
+	s.admitLocked(j, cached, leader)
 }
 
 // bumpNextID keeps minted IDs ahead of every replayed one with our

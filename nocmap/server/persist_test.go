@@ -52,7 +52,7 @@ var (
 // reports the restored counts.
 func TestRestartServesPersistedResults(t *testing.T) {
 	dir := t.TempDir()
-	js, err := store.Open(dir)
+	js, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRestartServesPersistedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	js2, err := store.Open(dir)
+	js2, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

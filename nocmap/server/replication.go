@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -586,7 +587,7 @@ func (s *Server) reseedAbove(target string, fromSeq uint64) {
 // advance back until a later batch heals it.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req ReplicateRequest
-	if !decodeInternal(w, r, &req, false) {
+	if !decodeInternal(w, r, &req) {
 		return
 	}
 	compactRecords(req.Records)
@@ -705,7 +706,7 @@ func (s *Server) handleWatermark(w http.ResponseWriter, r *http.Request) {
 // skipped, so the router may re-trigger promotion freely.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
-	if !decodeInternal(w, r, &req, false) {
+	if !decodeInternal(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -754,7 +755,7 @@ func (s *Server) installTerminalLocked(rec store.JobRecord) {
 // key-range migration during elastic join/leave.
 func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	var req ReconcileRequest
-	if !decodeInternal(w, r, &req, false) {
+	if !decodeInternal(w, r, &req) {
 		return
 	}
 	compactRecords(req.Records)
@@ -870,7 +871,7 @@ func (s *Server) handleReplicaStatus(w http.ResponseWriter, r *http.Request) {
 // instance at its replication target set.
 func (s *Server) handleReplicationTarget(w http.ResponseWriter, r *http.Request) {
 	var req ReplicationTarget
-	if !decodeInternal(w, r, &req, true) {
+	if !decodeInternal(w, r, &req) {
 		return
 	}
 	for _, u := range req.URLs {
@@ -891,22 +892,16 @@ func (s *Server) handleReplicationTarget(w http.ResponseWriter, r *http.Request)
 // headroom than a single submission).
 const maxInternalBodyBytes = 256 << 20
 
-// decodeInternal parses an internal endpoint's JSON body; strict also
-// rejects fields v does not have. A false return means the error
-// response was already written.
-func decodeInternal(w http.ResponseWriter, r *http.Request, v any, strict bool) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInternalBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest,
-			&ErrorPayload{Code: CodeBadRequest, Message: "reading request body: " + err.Error()})
-		return false
-	}
-	if strict {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(v)
-	} else {
-		err = json.Unmarshal(body, v)
+// decodeInternal parses an internal endpoint's JSON body: exactly one
+// value, with no field v does not have (routers and backends upgrade
+// together, so an unknown field is a malformed body, not a newer
+// sender). A false return means the error response was already written.
+func decodeInternal(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInternalBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("data after the JSON value")
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest,

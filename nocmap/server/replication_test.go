@@ -376,23 +376,29 @@ func TestReplicationTargetEndpoint(t *testing.T) {
 
 // TestReplicationTargetRejectsUnknownFields pins the strict decode of
 // PUT /v1/replication/target: a body with a field the set does not
-// have — the removed single-target {"url": ...} form — answers 400
-// bad_request and leaves the target set as it was, instead of reading
-// as the empty set and turning replication off.
+// have — the removed single-target {"url": ...} form — or with data
+// after the JSON value answers 400 bad_request and leaves the target
+// set as it was, instead of reading as the empty set (turning
+// replication off) or as its first value.
 func TestReplicationTargetRejectsUnknownFields(t *testing.T) {
 	primary, follower := replicationPair(t)
-	resp, body := postPut(t, primary.URL+"/v1/replication/target",
-		map[string]string{"url": "http://127.0.0.1:1"})
-	if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != server.CodeBadRequest {
-		t.Fatalf(`{"url": ...} body: status %d (body %s), want 400 bad_request`, resp.StatusCode, body)
-	}
-	_, ibody := get(t, primary.URL+"/v1/info")
-	var info server.Info
-	if err := json.Unmarshal(ibody, &info); err != nil {
-		t.Fatal(err)
-	}
-	if len(info.ReplicaTargets) != 1 || info.ReplicaTargets[0] != follower.URL {
-		t.Fatalf("targets after the rejected body = %q, want [%q]", info.ReplicaTargets, follower.URL)
+	for _, body := range []string{
+		`{"url":"http://127.0.0.1:1"}`,
+		`{"urls":["http://127.0.0.1:1"]} junk`,
+		`{"urls":["http://127.0.0.1:1"]}{"urls":[]}`,
+	} {
+		resp, got := putRaw(t, primary.URL+"/v1/replication/target", []byte(body))
+		if resp.StatusCode != http.StatusBadRequest || errCode(t, got) != server.CodeBadRequest {
+			t.Fatalf("body %s: status %d (body %s), want 400 bad_request", body, resp.StatusCode, got)
+		}
+		_, ibody := get(t, primary.URL+"/v1/info")
+		var info server.Info
+		if err := json.Unmarshal(ibody, &info); err != nil {
+			t.Fatal(err)
+		}
+		if len(info.ReplicaTargets) != 1 || info.ReplicaTargets[0] != follower.URL {
+			t.Fatalf("targets after body %s = %q, want [%q]", body, info.ReplicaTargets, follower.URL)
+		}
 	}
 }
 
@@ -435,6 +441,12 @@ func postPut(t *testing.T, url string, v any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return putRaw(t, url, body)
+}
+
+// putRaw sends a PUT with body as it is.
+func putRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -392,26 +392,37 @@ func (s *Server) submit(p *nocmap.Problem, problemJSON []byte, spec SolveSpec) (
 			payload: &ErrorPayload{Code: CodeQueueFull,
 				Message: fmt.Sprintf("store write-behind full (%d ops pending)", s.outSeq-s.outFlushed)}}
 	}
-	if len(s.queue) >= s.cfg.QueueSize && s.cache.items[j.key] == nil && s.leaders[j.key] == nil {
+	cached, leader := s.placeLocked(j.key)
+	if cached == nil && leader == nil && len(s.queue) >= s.cfg.QueueSize {
 		return nil, &submitError{status: 429,
 			payload: &ErrorPayload{Code: CodeQueueFull,
 				Message: fmt.Sprintf("queue full (%d jobs waiting)", len(s.queue))}}
 	}
 	s.registerLocked(j)
-	s.admitLocked(j)
+	s.admitLocked(j, cached, leader)
 	return j, nil
 }
 
-// admitLocked places a job that carries its ID: finished from the
-// result cache, coalesced onto an unfinished leader with the same key,
-// or queued as a new leader. Live submissions and replayed, promoted or
-// migrated live records all enter here. Callers hold s.mu.
-func (s *Server) admitLocked(j *job) {
-	if cached, ok := s.cache.get(j.key); ok {
+// placeLocked decides where a job with key goes: the cached result it
+// finishes from, else the unfinished leader it coalesces onto; both nil
+// means it needs a queue slot as a new leader. Callers hold s.mu.
+func (s *Server) placeLocked(key string) (json.RawMessage, *job) {
+	if cached, ok := s.cache.get(key); ok {
+		return cached, nil
+	}
+	return nil, s.leaders[key]
+}
+
+// admitLocked places a job that carries its ID where placeLocked
+// decided: finished from cached, coalesced onto leader, or queued as a
+// new leader. Live submissions and replayed, promoted or migrated live
+// records all enter here. Callers hold s.mu.
+func (s *Server) admitLocked(j *job, cached json.RawMessage, leader *job) {
+	if cached != nil {
 		s.finishCachedLocked(j, cached)
 		return
 	}
-	if leader, ok := s.leaders[j.key]; ok {
+	if leader != nil {
 		j.state = leader.state
 		j.coalesced = true
 		j.leader = leader

@@ -11,7 +11,7 @@ import (
 // compactions / compact_running / segments stats.
 type CompactionStats struct {
 	// Compactions counts snapshots the compactor has published
-	// (tmp-write + fsync + atomic rename) since Open.
+	// (tmp-write + fsync + atomic rename) since OpenConfig.
 	Compactions uint64 `json:"compactions"`
 	// Running reports whether a compaction is in flight right now.
 	Running bool `json:"running"`
@@ -93,7 +93,7 @@ func (fs *FileStore) kickCompactorLocked() {
 // retry. After a successful publish the counters are settled
 // unconditionally — leftover segment files (a failed delete, a crash)
 // are covered by the snapshot's wal_seq watermark and removed on the
-// next Open or pass, never re-folded and never re-counted (the
+// next OpenConfig or pass, never re-folded and never re-counted (the
 // post-rename cleanup bug the single-file design had).
 func (fs *FileStore) runCompaction() {
 	fs.mu.Lock()
@@ -152,7 +152,7 @@ func (fs *FileStore) runCompaction() {
 		if deleteErr != nil {
 			// The snapshot is published; the stale segments are covered
 			// by its wal_seq and will be removed on the next pass or
-			// Open. Record the failure, but the compaction succeeded —
+			// OpenConfig. Record the failure, but the compaction succeeded —
 			// the counters settle unconditionally, so a cleanup failure
 			// can neither re-trigger a full compaction on every
 			// subsequent append nor re-fold already-folded ops on

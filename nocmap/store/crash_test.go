@@ -46,7 +46,7 @@ func TestStoreCompactionCrash(t *testing.T) {
 				t.Fatalf("helper died of %v, want SIGKILL:\n%s", err, out)
 			}
 
-			fs, err := Open(dir)
+			fs, err := OpenConfig(dir, FileConfig{})
 			if err != nil {
 				t.Fatalf("reopen after SIGKILL at %q: %v", step, err)
 			}
@@ -85,7 +85,7 @@ func TestStoreCompactionCrash(t *testing.T) {
 			}
 			// Determinism: a second recovery of the same directory loads
 			// byte-identical state.
-			again, err := Open(dir)
+			again, err := OpenConfig(dir, FileConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

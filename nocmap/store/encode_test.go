@@ -88,7 +88,7 @@ func FuzzWALEncoding(f *testing.F) {
 // reaches the WAL, through either write path.
 func TestInvalidRawFieldRefused(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := Open(dir)
+	fs, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRawFieldRewrittenLikeMarshal(t *testing.T) {
 			}
 		}
 	}
-	again, err := Open(dir)
+	again, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRawFieldRewrittenLikeMarshal(t *testing.T) {
 	if err := again.Close(); err != nil {
 		t.Fatal(err)
 	}
-	third, err := Open(dir)
+	third, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestPoisonedStoreNeverPublishesUnappliedOp(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, segmentName(poisonSeq))); err != nil {
 		t.Fatalf("segment holding the unapplied op: %v", err)
 	}
-	again, err := Open(dir)
+	again, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestReplicaNamespace(t *testing.T) {
 // its replicas: the WAL replays the replica namespace too.
 func TestReplicaNamespaceSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir)
+	s, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReplicaNamespaceSurvivesReopen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := store.Open(dir)
+	s2, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

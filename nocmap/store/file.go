@@ -14,7 +14,7 @@ import (
 // append is fsynced before the call returns, so a SIGKILL at any
 // instant loses at most the operation in flight; a torn final line in
 // the active segment (the signature of a crash mid-append) is detected
-// and truncated away on the next Open.
+// and truncated away on the next OpenConfig.
 //
 // Compaction is off the writer path by construction: hitting a trigger
 // (op count or WAL bytes, see FileConfig) rotates to a fresh active
@@ -165,10 +165,6 @@ type FileConfig struct {
 	CompactBytes int64
 }
 
-// Open opens (or creates) a file store rooted at dir with default
-// compaction triggers. See OpenConfig.
-func Open(dir string) (*FileStore, error) { return OpenConfig(dir, FileConfig{}) }
-
 // OpenConfig opens (or creates) a file store rooted at dir. It reads
 // the snapshot, replays the WAL segments on top — deleting stale
 // segments the snapshot already covers, dropping a torn trailing line
@@ -283,7 +279,7 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 	}
 	if len(live) == 0 {
 		// The fresh active segment must survive a crash before its
-		// first append, or the next Open would see a hole.
+		// first append, or the next OpenConfig would see a hole.
 		if err := syncDir(dir); err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("store: syncing dir after segment create: %w", err)

@@ -91,7 +91,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatalf("snapshot missing wal_seq watermark: %.120s", raw)
 	}
 
-	again, err := Open(dir)
+	again, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestAppendsDuringCompaction(t *testing.T) {
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Open(dir)
+	again, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestAppendsDuringCompaction(t *testing.T) {
 // may ever read it.
 func TestStaleSnapshotTmpRemovedOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := Open(dir)
+	fs, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestStaleSnapshotTmpRemovedOnOpen(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte(`{"wal_seq":9,"jobs":[half-written garb`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Open(dir)
+	again, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatalf("stale tmp must not fail Open: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestCompactionSurvivesLeftoverSegment(t *testing.T) {
 		}
 	}
 
-	again, err := Open(dir)
+	again, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatalf("reopen with leftover folded segment: %v", err)
 	}
@@ -351,7 +351,7 @@ func TestFailedSegmentDeleteStillSettles(t *testing.T) {
 // the in-memory state with the op counters short.
 func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := Open(dir)
+	fs, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fault was injected, not real: replay recovers the full batch.
-	again, err := Open(dir)
+	again, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 // one-op batch, the shape every retried op takes.
 func TestSingleOpApplyFailureGoesReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := Open(dir)
+	fs, err := OpenConfig(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestLegacyWALMigration(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), []byte(legacyWAL), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if fs, err := Open(dir); err == nil || !strings.Contains(err.Error(), legacyWALFile) {
+	if fs, err := OpenConfig(dir, FileConfig{}); err == nil || !strings.Contains(err.Error(), legacyWALFile) {
 		if fs != nil {
 			fs.Close()
 		}
@@ -494,7 +494,7 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, segmentName(2))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, err := OpenConfig(dir, FileConfig{}); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("Open with a segment hole = %v, want loud failure", err)
 	}
 }

@@ -28,7 +28,7 @@ const (
 	snapshotTmpFile = snapshotFile + ".tmp"
 
 	// legacyWALFile is the single-file WAL of a store from before WAL
-	// segments; Open refuses a directory that holds one.
+	// segments; OpenConfig refuses a directory that holds one.
 	legacyWALFile = "wal.jsonl"
 )
 

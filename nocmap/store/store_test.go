@@ -22,7 +22,7 @@ func stores(t *testing.T, run func(t *testing.T, open func(t *testing.T) store.J
 	t.Run("file", func(t *testing.T) {
 		dir := t.TempDir()
 		run(t, func(t *testing.T) store.JobStore {
-			fs, err := store.Open(dir)
+			fs, err := store.OpenConfig(dir, store.FileConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestOverwriteAndDelete(t *testing.T) {
 // a close (or crash) is there after Open.
 func TestFileStoreReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir)
+	s, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFileStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	again, err := store.Open(dir)
+	again, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFileStoreReopen(t *testing.T) {
 // WAL line must be dropped without losing the records before it.
 func TestFileStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir)
+	s, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	again, err := store.Open(dir)
+	again, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatalf("torn tail must not fail Open: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	if err := again.Close(); err != nil {
 		t.Fatal(err)
 	}
-	third, err := store.Open(dir)
+	third, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func walJobIDs(t *testing.T, dir string) []string {
 // across however many batches it cuts them into.
 func TestGroupCommitSerialOrder(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := store.Open(dir)
+	fs, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestGroupCommitSerialOrder(t *testing.T) {
 // inside one never do.
 func TestGroupCommitConcurrentOrder(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := store.Open(dir)
+	fs, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestGroupCommitConcurrentOrder(t *testing.T) {
 // no op is lost or reordered, live or after a reopen.
 func TestGroupCommitTornBatch(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := store.Open(dir)
+	fs, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestGroupCommitTornBatch(t *testing.T) {
 	if got := walJobIDs(t, dir); fmt.Sprint(got) != "[job-a job-b job-a job-b]" {
 		t.Fatalf("wal puts = %v, want the torn batch then its retry", got)
 	}
-	again, err := store.Open(dir)
+	again, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestGroupCommitTornBatch(t *testing.T) {
 // torn one behind it, and never a hole.
 func TestGroupCommitCrashPrefix(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := store.Open(dir)
+	fs, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestGroupCommitCrashPrefix(t *testing.T) {
 	}
 	f.Close()
 
-	again, err := store.Open(dir)
+	again, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatalf("reopen after mid-batch crash: %v", err)
 	}
@@ -447,7 +447,7 @@ func TestGroupCommitCrashPrefix(t *testing.T) {
 // and checks the state survives (snapshot + emptied WAL, then reopen).
 func TestFileStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir)
+	s, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestFileStoreCompaction(t *testing.T) {
 		t.Fatalf("wal did not shrink at compaction: %d bytes across %d segments", walSize, len(segs))
 	}
 
-	again, err := store.Open(dir)
+	again, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestInvalidOpsNeverReachDisk(t *testing.T) {
 	})
 	// And the durable store must reopen cleanly after the rejections.
 	dir := t.TempDir()
-	fs, err := store.Open(dir)
+	fs, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestInvalidOpsNeverReachDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Close()
-	again, err := store.Open(dir)
+	again, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatalf("reopen after rejected writes: %v", err)
 	}
@@ -557,7 +557,7 @@ func TestInvalidOpsNeverReachDisk(t *testing.T) {
 // records behind it, so Open must refuse instead.
 func TestFileStoreMidLogCorruptionFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir)
+	s, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestFileStoreMidLogCorruptionFailsLoudly(t *testing.T) {
 	if err := os.WriteFile(wal, corrupted, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open(dir); err == nil {
+	if _, err := store.OpenConfig(dir, store.FileConfig{}); err == nil {
 		t.Fatal("mid-log corruption must fail Open, not silently truncate valid records")
 	}
 }

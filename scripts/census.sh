@@ -2,7 +2,7 @@
 # Integration-coverage census of the serving code: which functions in
 # nocmap/{server,shard,store} does no real-binary run reach?
 #
-#   make census          # or: bash scripts/census.sh [seconds-per-workload]
+#   make census          # or: bash scripts/census.sh
 #
 # It builds nocmapd and nocmapsh with `-cover -coverpkg=repro/...` and
 # runs them through every exec-level path the repo has:
@@ -10,8 +10,8 @@
 #   - the exec tests that build and kill real binaries
 #     (TestCrashRecoveryE2E, TestStoreQueueFlagE2E, TestChaosFleetE2E,
 #     TestChaosDoubleFailureE2E), without -race,
-#   - one nocbench run per workload, with nocbench's program built here
-#     and pointed at the cover-built binaries through -bin (nothing
+#   - one 8 s nocbench run per workload, with nocbench's program built
+#     here and pointed at the cover-built binaries through -bin (nothing
 #     under nocbench/ is edited or rebuilt by its own script).
 # Each process writes its counters to GOCOVERDIR when it exits. A
 # process ended by SIGKILL writes none: the crash and chaos victims and
@@ -25,7 +25,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
-seconds=${1:-8}
 out="$root/.census"
 rm -rf "$out"
 mkdir -p "$out/cov" "$out/merged" "$out/bin" "$out/work"
@@ -50,12 +49,12 @@ exec_test() { # package, -run pattern
 exec_test nocmap/server 'TestCrashRecoveryE2E|TestStoreQueueFlagE2E'
 exec_test nocmap/shard 'TestChaosFleetE2E|TestChaosDoubleFailureE2E'
 
-echo "== nocbench, ${seconds}s per workload"
+echo "== nocbench, 8 s per workload"
 go build $cover_flags -o "$out/bin/" ./cmd/nocmapd ./cmd/nocmapsh
 (cd nocbench && GOFLAGS= go build -o "$out/bin/nocbench" .)
 for w in small-distinct solve-heavy hot-repeat fleet-replicated; do
 	GOCOVERDIR="$out/cov" "$out/bin/nocbench" -bin "$out/bin" -work "$out/work/$w" \
-		-workload "$w" -seconds "$seconds" >"$out/nocbench-$w.json" 2>"$out/nocbench-$w.log" \
+		-workload "$w" -seconds 8 >"$out/nocbench-$w.json" 2>"$out/nocbench-$w.log" \
 		|| { cat "$out/nocbench-$w.log"; exit 1; }
 done
 

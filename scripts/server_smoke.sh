@@ -95,15 +95,22 @@ bad=$(curl -sS "$base/v1/jobs" -d '{
 grep -q '"code":"infeasible_bandwidth"' <<<"$bad" || fail "infeasible problem not typed" "$bad"
 
 echo "== cancel a running solve (DELETE /v1/jobs/{id})"
-# A 16-core PBB search that runs for about a second.
+# A 64-core PBB search with a budget of 1e8 expansions: about 80 us
+# each on a 2-core host, so hours of work that only the cancel ends.
 edges=""
-for i in $(seq 0 15); do edges+="{\"from\":\"c$i\",\"to\":\"c$(( (i + 1) % 16 ))\",\"bw\":$(( 40 + i ))},"; done
-for i in $(seq 0 2 15); do edges+="{\"from\":\"c$i\",\"to\":\"c$(( (i + 5) % 16 ))\",\"bw\":$(( 25 + i ))},"; done
-slow="{\"problem\":{\"app\":{\"edges\":[${edges%,}]},\"topology\":{\"kind\":\"mesh\",\"w\":4,\"h\":4,\"link_bw\":5000}},
-  \"options\":{\"algorithm\":\"pbb\",\"max_queue\":4000,\"max_expand\":50000}}"
+for i in $(seq 0 63); do edges+="{\"from\":\"c$i\",\"to\":\"c$(( (i + 1) % 64 ))\",\"bw\":$(( 40 + i ))},"; done
+for i in $(seq 0 2 63); do edges+="{\"from\":\"c$i\",\"to\":\"c$(( (i + 9) % 64 ))\",\"bw\":$(( 25 + i ))},"; done
+slow="{\"problem\":{\"app\":{\"edges\":[${edges%,}]},\"topology\":{\"kind\":\"mesh\",\"w\":8,\"h\":8,\"link_bw\":5000}},
+  \"options\":{\"algorithm\":\"pbb\",\"max_queue\":4000,\"max_expand\":100000000}}"
 sjob=$(curl -fsS "$base/v1/jobs" -d "$slow")
 sid=$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' <<<"$sjob")
 [[ -n "$sid" ]] || fail "slow submit returned no job id" "$sjob"
+for _ in $(seq 1 100); do
+    cstatus=$(curl -fsS "$base/v1/jobs/$sid")
+    grep -q '"state":"running"' <<<"$cstatus" && break
+    sleep 0.1
+done
+grep -q '"state":"running"' <<<"$cstatus" || fail "slow job never started running" "$cstatus"
 curl -fsS -X DELETE "$base/v1/jobs/$sid" >/dev/null
 for _ in $(seq 1 100); do
     cstatus=$(curl -fsS "$base/v1/jobs/$sid")
