@@ -512,6 +512,37 @@ func BenchmarkWriteJobStatus(b *testing.B) {
 	}
 }
 
+// BenchmarkSubmitCacheHit measures a resubmitted hot-repeat body:
+// POST /v1/solve through Handler() after one priming solve. The first
+// hit fills the submit memo, so the loop measures the memo path: a
+// sha256 of the body, the cache lookup and the status answer, with no
+// decode.
+func BenchmarkSubmitCacheHit(b *testing.B) {
+	svc, err := server.New(server.Config{Pool: 1, QueueSize: 8, CacheSize: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	body := hotRepeatBody(b)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("priming solve: status %d (body %s)", rec.Code, rec.Body)
+	}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", rd)
+	w := &discardWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	for b.Loop() {
+		rd.Reset(body)
+		h.ServeHTTP(w, req)
+	}
+	if st := svc.Stats(); st.Solved != 1 || st.CacheHits == 0 {
+		b.Fatalf("want one solve and the rest cache hits, got %d solved / %d hits", st.Solved, st.CacheHits)
+	}
+}
+
 // BenchmarkApplyOpsCacheHit measures the store write one cache hit
 // costs: its terminal record, result included, appended to a FileStore
 // WAL and fsynced as one batch. The compaction triggers are out of

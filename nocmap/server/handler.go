@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -134,22 +135,43 @@ func ReadSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, *SubmitErro
 	return body, nil
 }
 
-// decodeSubmit parses and validates a submission body into a validated
-// problem, its canonical JSON and the normalized, profile-defaulted
-// spec. A false final return means the error response was already
-// written.
-func (s *Server) decodeSubmit(w http.ResponseWriter, r *http.Request) (*nocmap.Problem, []byte, SolveSpec, bool) {
+// acceptSubmit reads a submission body and admits it as a job. A body
+// the memo knows is answered from the result cache without being
+// decoded while its key is still cached; every other body is parsed,
+// validated and profiled by ParseSubmit, then admitted by submit, and
+// remembered when that ends in a cache hit. A false return means the
+// error response was already written.
+func (s *Server) acceptSubmit(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	body, serr := ReadSubmitBody(w, r)
 	if serr != nil {
 		writeError(w, serr.Status, serr.Payload)
-		return nil, nil, SolveSpec{}, false
+		return nil, false
+	}
+	var sum [sha256.Size]byte
+	if s.memo != nil {
+		sum = sha256.Sum256(body)
+		if j, jerr, ok := s.submitKnown(sum); ok {
+			if jerr != nil {
+				writeError(w, jerr.status, jerr.payload)
+				return nil, false
+			}
+			return j, true
+		}
 	}
 	p, canon, spec, serr := ParseSubmit(body)
 	if serr != nil {
 		writeError(w, serr.Status, serr.Payload)
-		return nil, nil, SolveSpec{}, false
+		return nil, false
 	}
-	return p, canon, s.cfg.Profile.Apply(spec), true
+	j, hit, jerr := s.submit(p, canon, s.cfg.Profile.Apply(spec))
+	if jerr != nil {
+		writeError(w, jerr.status, jerr.payload)
+		return nil, false
+	}
+	if hit && s.memo != nil {
+		s.memo.put(sum, memoEntry{key: j.key, spec: j.spec})
+	}
+	return j, true
 }
 
 // errorPayloadForSpec classifies option-normalization failures.
@@ -167,17 +189,12 @@ func errorPayloadForSpec(err error) *ErrorPayload {
 // acknowledged the job's record (bounded; degrades to async with the
 // X-Nocmap-Durability header saying so).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	p, canon, spec, ok := s.decodeSubmit(w, r)
+	j, ok := s.acceptSubmit(w, r)
 	if !ok {
 		return
 	}
-	j, serr := s.submit(p, canon, spec)
-	if serr != nil {
-		writeError(w, serr.status, serr.payload)
-		return
-	}
 	outcome := ""
-	if spec.Durability == DurabilityReplicated {
+	if j.spec.Durability == DurabilityReplicated {
 		outcome = s.awaitDurable(r.Context(), j.id, false)
 		w.Header().Set("X-Nocmap-Durability", outcome)
 	}
@@ -195,13 +212,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // cancels the job (a coalesced follower detaches without disturbing the
 // shared computation).
 func (s *Server) handleSolveSync(w http.ResponseWriter, r *http.Request) {
-	p, canon, spec, ok := s.decodeSubmit(w, r)
+	j, ok := s.acceptSubmit(w, r)
 	if !ok {
-		return
-	}
-	j, serr := s.submit(p, canon, spec)
-	if serr != nil {
-		writeError(w, serr.status, serr.payload)
 		return
 	}
 	select {
@@ -213,7 +225,7 @@ func (s *Server) handleSolveSync(w http.ResponseWriter, r *http.Request) {
 		<-j.done
 	}
 	st := s.statusOf(j)
-	if spec.Durability == DurabilityReplicated {
+	if j.spec.Durability == DurabilityReplicated {
 		// The sync ack vouches for the outcome, so it waits for the
 		// terminal record — not just the submit record — to be acked.
 		st.Durability = s.awaitDurable(r.Context(), j.id, true)

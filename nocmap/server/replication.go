@@ -710,7 +710,10 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	promoted := 0
+	// Install in the origin's own (Seq, ID) order, never map order: the
+	// terminal seqs minted here, the queue order of live jobs and the
+	// LRU warm order must not change from run to run.
+	var recs []store.JobRecord
 	for _, rec := range s.replicas {
 		if rec.Origin != req.Origin {
 			continue
@@ -718,6 +721,16 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if _, ok := s.jobs[rec.ID]; ok {
 			continue // already promoted (or adopted via reconcile)
 		}
+		recs = append(recs, rec)
+	}
+	sort.Slice(recs, func(i, k int) bool {
+		if recs[i].Seq != recs[k].Seq {
+			return recs[i].Seq < recs[k].Seq
+		}
+		return recs[i].ID < recs[k].ID
+	})
+	promoted := 0
+	for _, rec := range recs {
 		if store.Terminal(rec.State) {
 			s.installTerminalLocked(rec)
 		} else {

@@ -467,56 +467,58 @@ func putRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 // TestReplayRetentionDropsPromotedReplica pins retention across a
 // restart for promoted jobs: when replay evicts a promoted job beyond
 // Retention, its replica record goes too, so a later promotion cannot
-// reinstall the job retention already let go.
+// reinstall the job retention already let go. Promotion installs the
+// origin's records in (Seq, ID) order, so the same job — the one the
+// origin finished first — is evicted on every run.
 func TestReplayRetentionDropsPromotedReplica(t *testing.T) {
-	ms := store.NewMemStore()
-	svc, follower := newConfiguredServer(t, server.Config{
-		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: ms,
-	})
 	recs := []store.JobRecord{
 		{ID: "p0-job-00000001", Key: "k1", State: server.StateDone, Result: json.RawMessage(`{"n":1}`), Seq: 1},
 		{ID: "p0-job-00000002", Key: "k2", State: server.StateDone, Result: json.RawMessage(`{"n":2}`), Seq: 2},
 	}
-	if resp, body := postJSON(t, follower.URL+"/v1/replicate",
-		server.ReplicateRequest{Origin: "p0-", Records: recs}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("replicate: status %d (body %s)", resp.StatusCode, body)
-	}
-	promote := func(base string) server.PromoteResponse {
-		t.Helper()
-		resp, body := postJSON(t, base+"/v1/promote", server.PromoteRequest{Origin: "p0-"})
-		var pr server.PromoteResponse
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil {
-			t.Fatalf("promote: status %d (body %s)", resp.StatusCode, body)
-		}
-		return pr
-	}
-	if pr := promote(follower.URL); pr.Promoted != 2 {
-		t.Fatalf("first promotion promoted %d, want 2", pr.Promoted)
-	}
-	svc.Close()
-
-	// Restart on the same store with room for one finished job: replay
-	// evicts the promoted job that finished first (promotion order
-	// follows map iteration, so either one may be it).
-	_, restarted := newConfiguredServer(t, server.Config{
-		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: ms, Retention: 1,
-	})
-	status := func(id string) int {
-		resp, _ := get(t, restarted.URL+"/v1/jobs/"+id)
-		return resp.StatusCode
-	}
 	evicted, kept := recs[0].ID, recs[1].ID
-	if status(evicted) == http.StatusOK {
-		evicted, kept = kept, evicted
-	}
-	if status(evicted) != http.StatusNotFound || status(kept) != http.StatusOK {
-		t.Fatalf("after the restart %s answers %d and %s answers %d, want one 404 and one 200",
-			evicted, status(evicted), kept, status(kept))
-	}
-	if pr := promote(restarted.URL); pr.Promoted != 0 {
-		t.Fatalf("second promotion promoted %d, want 0", pr.Promoted)
-	}
-	if status(evicted) != http.StatusNotFound {
-		t.Fatalf("evicted job %s answers %d after the second promotion, want 404", evicted, status(evicted))
+	for iter := 0; iter < 20; iter++ {
+		ms := store.NewMemStore()
+		svc, follower := newConfiguredServer(t, server.Config{
+			Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: ms,
+		})
+		if resp, body := postJSON(t, follower.URL+"/v1/replicate",
+			server.ReplicateRequest{Origin: "p0-", Records: recs}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("replicate: status %d (body %s)", resp.StatusCode, body)
+		}
+		promote := func(base string) server.PromoteResponse {
+			t.Helper()
+			resp, body := postJSON(t, base+"/v1/promote", server.PromoteRequest{Origin: "p0-"})
+			var pr server.PromoteResponse
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil {
+				t.Fatalf("promote: status %d (body %s)", resp.StatusCode, body)
+			}
+			return pr
+		}
+		if pr := promote(follower.URL); pr.Promoted != 2 {
+			t.Fatalf("first promotion promoted %d, want 2", pr.Promoted)
+		}
+		follower.Close()
+		svc.Close()
+
+		// Restart on the same store with room for one finished job:
+		// replay evicts the promoted job that finished first here.
+		_, restarted := newConfiguredServer(t, server.Config{
+			Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: ms, Retention: 1,
+		})
+		status := func(id string) int {
+			resp, _ := get(t, restarted.URL+"/v1/jobs/"+id)
+			return resp.StatusCode
+		}
+		if status(evicted) != http.StatusNotFound || status(kept) != http.StatusOK {
+			t.Fatalf("iteration %d: after the restart %s answers %d and %s answers %d, want 404 and 200",
+				iter, evicted, status(evicted), kept, status(kept))
+		}
+		if pr := promote(restarted.URL); pr.Promoted != 0 {
+			t.Fatalf("second promotion promoted %d, want 0", pr.Promoted)
+		}
+		if status(evicted) != http.StatusNotFound {
+			t.Fatalf("evicted job %s answers %d after the second promotion, want 404", evicted, status(evicted))
+		}
+		restarted.Close()
 	}
 }

@@ -23,7 +23,7 @@ func TestFinishedJobsDropProblem(t *testing.T) {
 		if serr != nil {
 			t.Fatal(serr)
 		}
-		j, jerr := s.submit(p, canon, spec)
+		j, _, jerr := s.submit(p, canon, spec)
 		if jerr != nil {
 			t.Fatal(jerr)
 		}

@@ -144,6 +144,7 @@ type Server struct {
 	leaders   map[string]*job // key -> unfinished leader to coalesce onto
 	doneOrder []string        // finished job IDs, terminal-transition order
 	cache     *resultCache
+	memo      *submitMemo // nil when caching is disabled
 	stats     Stats
 	running   int
 	closed    bool
@@ -233,6 +234,7 @@ func New(cfg Config) (*Server, error) {
 		onRegress: s.reseedAbove,
 	})
 	s.cache = newResultCache(s.cfg.CacheSize)
+	s.memo = newSubmitMemo(s.cfg.CacheSize)
 	if s.cfg.Store != nil {
 		// LRU eviction fires under mu; the delete rides the outbox like
 		// every other store write.
@@ -364,43 +366,60 @@ type submitError struct {
 	payload *ErrorPayload
 }
 
-// submit validates nothing (the handler already parsed and normalized);
-// it mints the job's ID and admits it. Only a job that would need a
-// queue slot can be turned away by a full queue.
-func (s *Server) submit(p *nocmap.Problem, problemJSON []byte, spec SolveSpec) (*job, *submitError) {
+// newJob builds an unregistered job for a submission. p and canon are
+// nil only for a job admitted straight from the result cache.
+func newJob(key string, p *nocmap.Problem, canon []byte, spec SolveSpec) *job {
 	j := &job{
-		key:     JobKey(problemJSON, spec),
+		key:     key,
 		problem: p,
 		spec:    spec,
-		canon:   problemJSON,
+		canon:   canon,
 		done:    make(chan struct{}),
 		subs:    make(map[chan JobEvent]struct{}),
 	}
 	j.ctx, j.cancel = context.WithCancel(context.Background())
+	return j
+}
 
+// submit validates nothing (the handler already parsed and normalized);
+// it mints the job's ID and admits it, and reports whether the result
+// cache answered it. Only a job that would need a queue slot can be
+// turned away by a full queue.
+func (s *Server) submit(p *nocmap.Problem, problemJSON []byte, spec SolveSpec) (*job, bool, *submitError) {
+	j := newJob(JobKey(problemJSON, spec), p, problemJSON, spec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if serr := s.admissionErrorLocked(); serr != nil {
+		return nil, false, serr
+	}
+	cached, leader := s.placeLocked(j.key)
+	if cached == nil && leader == nil && len(s.queue) >= s.cfg.QueueSize {
+		return nil, false, &submitError{status: 429,
+			payload: &ErrorPayload{Code: CodeQueueFull,
+				Message: fmt.Sprintf("queue full (%d jobs waiting)", len(s.queue))}}
+	}
+	s.registerLocked(j)
+	s.admitLocked(j, cached, leader)
+	return j, cached != nil, nil
+}
+
+// admissionErrorLocked is what every submission is checked against
+// before it is placed: a closed server answers 503, and a store
+// write-behind StoreQueue ops deep answers 429. Callers hold s.mu.
+func (s *Server) admissionErrorLocked() *submitError {
 	if s.closed {
-		return nil, &submitError{status: 503,
+		return &submitError{status: 503,
 			payload: &ErrorPayload{Code: CodeShuttingDown, Message: "server shutting down"}}
 	}
 	if s.cfg.Store != nil && int(s.outSeq-s.outFlushed) >= s.cfg.StoreQueue {
 		// Durability backpressure: the async write path is StoreQueue ops
 		// behind. Admitting more work would grow the unpersisted window
 		// without bound, so shed load until the disk catches up.
-		return nil, &submitError{status: 429,
+		return &submitError{status: 429,
 			payload: &ErrorPayload{Code: CodeQueueFull,
 				Message: fmt.Sprintf("store write-behind full (%d ops pending)", s.outSeq-s.outFlushed)}}
 	}
-	cached, leader := s.placeLocked(j.key)
-	if cached == nil && leader == nil && len(s.queue) >= s.cfg.QueueSize {
-		return nil, &submitError{status: 429,
-			payload: &ErrorPayload{Code: CodeQueueFull,
-				Message: fmt.Sprintf("queue full (%d jobs waiting)", len(s.queue))}}
-	}
-	s.registerLocked(j)
-	s.admitLocked(j, cached, leader)
-	return j, nil
+	return nil
 }
 
 // placeLocked decides where a job with key goes: the cached result it
