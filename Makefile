@@ -4,7 +4,7 @@ GO ?= go
 # CI fails the build when any regresses.
 BENCH_GATES = MapSinglePathSwapDelta<=0,RouteSinglePath<=0,PBBVOPD<=2000,ParseSubmit/8core<=110,ParseSubmit/64core<=1100,WriteJobStatus<=4,ApplyOpsCacheHit<=5,SubmitCacheHit<=40
 
-.PHONY: build test race bench bench-json bench-gate bench-service bench-service-gate bench-store-compact experiments apicheck api-update importgate linkcheck server-smoke fuzz-smoke chaos-smoke chaos-smoke-r2 cover census nocmapvet lint
+.PHONY: build test race bench bench-json bench-gate bench-service-gate bench-store-compact experiments apicheck api-update importgate linkcheck server-smoke fuzz-smoke chaos-smoke chaos-smoke-r2 cover census nocmapvet lint
 
 build:
 	$(GO) build ./...
@@ -56,25 +56,14 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchjson -out BENCH.json -gate '$(BENCH_GATES)'
 
-# Service-level load benchmark: boot a durable nocmapd, drive it with
-# cmd/nocmapload at a sustained seeded request rate, and record jobs/sec
-# + P50/P85/P99 into BENCH.json's "service" section — once per store
-# mode, so the batched flusher (one fsync per batch) and the
-# fsync-per-record baseline are always measured side by side (behind a
-# 1ms injected fsync latency; see scripts/bench_service.sh). Tunables
-# match the script.
-SERVICE_RPS ?= 900
-SERVICE_DURATION ?= 5s
-bench-service:
-	bash scripts/bench_service.sh $(SERVICE_RPS) $(SERVICE_DURATION)
-
-# XmR control-chart gate over the recorded service runs: the newest run
-# of each name must sit inside the natural process limits of its own
-# history (jobs/sec lower limit, P99 upper limit). With fewer than 4
-# prior runs it records without gating.
-bench-service-gate: bench-service
-	$(GO) run ./cmd/nocmapload -gate solve-group
-	$(GO) run ./cmd/nocmapload -gate solve-sync
+# Service gate: 8 s nocbench runs of small-distinct (one durable
+# nocmapd, group commit behind a 1ms fsync, no cache hits) and
+# fleet-replicated (nocmapsh routing to two replicating backends) at
+# fixed seeds. Fails on any wrong answer, any failed request, or a
+# probe-scaled peak_rps / p50_ms past the committed floors in
+# scripts/service_gate_floors.txt. CI runs this.
+bench-service-gate:
+	bash scripts/service_gate.sh
 
 # Store-level large-volume benchmark: seed a multi-thousand-record
 # FileStore, force a throttled multi-second compaction pass, and gate

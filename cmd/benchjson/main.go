@@ -32,10 +32,9 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// Report is the JSON document benchjson writes. Service is the
-// service-level benchmark history owned by cmd/nocmapload and Store the
-// store-level history owned by the nocmap/store compaction benchmark —
-// benchjson carries both through verbatim so rewriting the kernel
+// Report is the JSON document benchjson writes. Store is the
+// store-level history owned by the nocmap/store compaction benchmark;
+// benchjson carries it through verbatim so rewriting the kernel
 // sections never clobbers recorded runs.
 type Report struct {
 	GoVersion  string          `json:"go_version"`
@@ -43,7 +42,6 @@ type Report struct {
 	Benchtime  string          `json:"benchtime"`
 	Pattern    string          `json:"pattern"`
 	Results    []Result        `json:"results"`
-	Service    json.RawMessage `json:"service,omitempty"`
 	Store      json.RawMessage `json:"store,omitempty"`
 }
 
@@ -115,11 +113,9 @@ func main() {
 	}
 	if prev, err := os.ReadFile(*out); err == nil {
 		var old struct {
-			Service json.RawMessage `json:"service"`
-			Store   json.RawMessage `json:"store"`
+			Store json.RawMessage `json:"store"`
 		}
 		if json.Unmarshal(prev, &old) == nil {
-			rep.Service = old.Service
 			rep.Store = old.Store
 		}
 	}

@@ -17,9 +17,6 @@
 //	                                 # record to these followers (nocmapsh
 //	                                 # manages the set automatically when
 //	                                 # probing is on)
-//	nocmapd -store-mode sync         # fsync-per-record baseline writes
-//	                                 # (default "group": every batch the
-//	                                 # flusher drains costs one fsync)
 //	nocmapd -store-queue 1024        # shed submissions with 429 once this
 //	                                 # many store ops await their fsync
 //	nocmapd -store-fault fail-every=100
@@ -47,24 +44,6 @@ import (
 	"repro/nocmap/store"
 )
 
-// syncOnly writes each op of a batch in its own ApplyOps call, so every
-// record pays its own fsync — the baseline -store-mode=sync benchmarks
-// against.
-type syncOnly struct{ store.JobStore }
-
-func (s syncOnly) ApplyOps(ops []store.Op) error {
-	for i := range ops {
-		if err := s.JobStore.ApplyOps(ops[i : i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Unwrap exposes the wrapped store so the server's stats can reach the
-// backing FileStore's compaction counters through the shim.
-func (s syncOnly) Unwrap() store.JobStore { return s.JobStore }
-
 func main() {
 	addr := flag.String("addr", ":8537", "listen address (host:port; port 0 picks one)")
 	pool := flag.Int("pool", 0, "solver workers (0: one per CPU)")
@@ -77,7 +56,6 @@ func main() {
 	replicateTo := flag.String("replicate-to", "", "comma-separated base URLs of the ring successors to replicate job records to (empty: replication off until the router pushes a target set)")
 	durableAckWait := flag.Duration("durable-ack-wait", 0, "how long a durability=replicated submission waits for a follower ack before degrading to async (0: 2s default)")
 	storeFault := flag.String("store-fault", "", `fault-inject the job store, e.g. "fail-every=100,latency=2ms,torn=1" (chaos testing; requires -store)`)
-	storeMode := flag.String("store-mode", "group", `durable-store write path: "group" (each batch the flusher drains is one fsync) or "sync" (one fsync per record — the baseline, kept for benchmarking and bisection)`)
 	storeQueue := flag.Int("store-queue", 4096, "store ops awaiting their fsync before submissions are rejected with 429")
 	storeCompactOps := flag.Int("store-compact-ops", 0, "WAL ops before the store rotates segments and compacts off the write path (0: default 1024)")
 	storeCompactBytes := flag.Int64("store-compact-bytes", 0, "WAL bytes before the store compacts regardless of op count (0: default 256MiB)")
@@ -114,16 +92,6 @@ func main() {
 			}
 			js = fault
 			log.Printf("nocmapd: store faults armed: %s", *storeFault)
-		}
-		switch *storeMode {
-		case "group":
-			// The server's flusher batches everything — including injected
-			// fault latency, which then costs one "seek" per batch instead
-			// of one per record.
-		case "sync":
-			js = syncOnly{js}
-		default:
-			log.Fatalf("nocmapd: unknown -store-mode %q (want \"group\" or \"sync\")", *storeMode)
 		}
 		defer js.Close()
 		cfg.Store = js

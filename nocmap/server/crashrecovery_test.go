@@ -26,29 +26,16 @@ import (
 //   - the interrupted and queued jobs are re-run to completion under
 //     their original IDs,
 //   - /v1/stats exposes the recovered/restored counters.
-//
-// It runs once per -store-mode: "group" (the default: one fsync per
-// batch the flusher drains) and "sync" (the fsync-per-record baseline)
-// must make the same recovery promises.
 func TestCrashRecoveryE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real nocmapd processes")
 	}
 	workdir := t.TempDir()
 	bin := buildNocmapd(t, workdir)
-	for _, mode := range []string{"group", "sync"} {
-		t.Run(mode, func(t *testing.T) {
-			crashRecoveryE2E(t, bin, workdir, mode)
-		})
-	}
-}
-
-func crashRecoveryE2E(t *testing.T, bin, workdir, mode string) {
-	storeDir := filepath.Join(workdir, "store-"+mode)
-	args := []string{"-addr", "127.0.0.1:0", "-store", storeDir, "-store-mode", mode,
+	args := []string{"-addr", "127.0.0.1:0", "-store", filepath.Join(workdir, "store"),
 		"-pool", "1", "-queue", "32"}
 
-	cmd, base := startNocmapd(t, bin, args, filepath.Join(workdir, "boot1-"+mode+".log"))
+	cmd, base := startNocmapd(t, bin, args, filepath.Join(workdir, "boot1.log"))
 
 	// Two quick jobs reach terminal state and the result cache.
 	quick := make(map[string]json.RawMessage) // id -> pre-crash result
@@ -91,7 +78,7 @@ func crashRecoveryE2E(t *testing.T, bin, workdir, mode string) {
 	_ = cmd.Wait()
 
 	// Reboot over the same store.
-	cmd2, base2 := startNocmapd(t, bin, args, filepath.Join(workdir, "boot2-"+mode+".log"))
+	cmd2, base2 := startNocmapd(t, bin, args, filepath.Join(workdir, "boot2.log"))
 	defer func() {
 		cmd2.Process.Signal(syscall.SIGTERM)
 		cmd2.Wait()

@@ -342,9 +342,9 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// backingFileStore walks the store wrapper chain (fault injection, the
-// sync-mode shim, ...) via Unwrap down to the durable *store.FileStore,
-// or nil when persistence is memory-only or absent.
+// backingFileStore walks the store wrapper chain (fault injection) via
+// Unwrap down to the durable *store.FileStore, or nil when persistence
+// is memory-only or absent.
 func backingFileStore(js store.JobStore) *store.FileStore {
 	for js != nil {
 		if fs, ok := js.(*store.FileStore); ok {

@@ -13,7 +13,7 @@ import (
 
 // storeBenchResult is one recorded run of the append-during-compaction
 // benchmark — the BENCH.json "store" section entry format, owned by
-// this test the way cmd/nocmapload owns "service".
+// this test.
 type storeBenchResult struct {
 	Name      string `json:"name"`
 	Timestamp string `json:"timestamp,omitempty"`
@@ -42,7 +42,6 @@ type storeBenchFile struct {
 	Benchtime  json.RawMessage    `json:"benchtime,omitempty"`
 	Pattern    json.RawMessage    `json:"pattern,omitempty"`
 	Results    json.RawMessage    `json:"results,omitempty"`
-	Service    json.RawMessage    `json:"service,omitempty"`
 	Store      []storeBenchResult `json:"store,omitempty"`
 }
 
