@@ -26,12 +26,21 @@ import (
 //   - the interrupted and queued jobs are re-run to completion under
 //     their original IDs,
 //   - /v1/stats exposes the recovered/restored counters.
+//
+// The store has one write path, group commit (one fsync per batch the
+// flusher drains); the subtest is named after it.
 func TestCrashRecoveryE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real nocmapd processes")
 	}
 	workdir := t.TempDir()
 	bin := buildNocmapd(t, workdir)
+	t.Run("group", func(t *testing.T) {
+		crashRecoveryE2E(t, bin, workdir)
+	})
+}
+
+func crashRecoveryE2E(t *testing.T, bin, workdir string) {
 	args := []string{"-addr", "127.0.0.1:0", "-store", filepath.Join(workdir, "store"),
 		"-pool", "1", "-queue", "32"}
 
