@@ -4,13 +4,19 @@ GO ?= go
 # CI fails the build when any regresses.
 BENCH_GATES = MapSinglePathSwapDelta<=0,RouteSinglePath<=0,PBBVOPD<=2000,ParseSubmit/8core<=110,ParseSubmit/64core<=1100,WriteJobStatus<=4,ApplyOpsCacheHit<=5,SubmitCacheHit<=40
 
-.PHONY: build test race bench bench-json bench-gate bench-service-gate bench-store-compact experiments apicheck api-update importgate linkcheck server-smoke fuzz-smoke chaos-smoke chaos-smoke-r2 cover census nocmapvet lint
+.PHONY: build test nocbench-test race bench bench-json bench-gate bench-service-gate bench-store-compact experiments apicheck api-update importgate linkcheck server-smoke fuzz-smoke chaos-smoke chaos-smoke-r2 cover census nocmapvet lint
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# nocbench is its own module (nocbench/go.mod, replacing repro with
+# ../), so `go test ./...` at the root never builds it. Vet and test it
+# here: it compiles against the store and server API it drives.
+nocbench-test:
+	cd nocbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/core/ ./internal/baseline/ -run 'Race|Parallel|Workers'

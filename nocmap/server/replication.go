@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -441,11 +443,11 @@ func (st *repStream) loop() {
 		}
 		ids := st.order[:n]
 		req := ReplicateRequest{Origin: st.r.origin}
-		batch := make(map[string]repOp, n)
+		batch := make([]repOp, 0, n)
 		acks := make([]repAck, 0, n)
 		for _, id := range ids {
 			op := st.pending[id]
-			batch[id] = op
+			batch = append(batch, op)
 			delete(st.pending, id)
 			if op.del {
 				req.Deletes = append(req.Deletes, id)
@@ -461,17 +463,20 @@ func (st *repStream) loop() {
 
 		resp, err := st.send(req)
 		if err != nil {
-			// Put the batch back (unless a newer op superseded it while in
-			// flight), note the failure for stall detection, and back off
-			// before the next attempt.
+			// Put the batch back at the front, in its own order, so it is
+			// retried first (an op a newer one superseded while in flight
+			// stays superseded, in the newer op's place); note the failure
+			// for stall detection, and back off before the next attempt.
 			st.mu.Lock()
 			st.inflight = 0
-			for id, op := range batch {
+			back := make([]string, 0, len(st.order)+n)
+			for i, id := range ids {
 				if _, ok := st.pending[id]; !ok {
-					st.pending[id] = op
-					st.order = append(st.order, id)
+					st.pending[id] = batch[i]
+					back = append(back, id)
 				}
 			}
+			st.order = append(back, st.order...)
 			st.fails++
 			if st.fails == replicateStallAfter {
 				st.stalled = true
@@ -493,7 +498,7 @@ func (st *repStream) loop() {
 		backoff = replicateMinBackoff
 		st.mu.Lock()
 		st.inflight = 0
-		st.acked += uint64(len(batch))
+		st.acked += uint64(n)
 		st.fails = 0
 		st.stalled = false
 		regressed := st.haveWatermark && resp.HighSeq < st.watermark
@@ -553,9 +558,25 @@ func (s *Server) SetReplicaTargets(urls []string) {
 // target, converging that follower's replica namespace with our state.
 // Callers hold s.mu.
 func (s *Server) seedReplicationToLocked(target string) {
-	for _, j := range s.jobs {
+	for _, j := range s.jobsBySeqLocked() {
 		s.rep.enqueueTo(target, s.recordOf(j, j.seq))
 	}
+}
+
+// jobsBySeqLocked lists s.jobs in (seq, ID) order: live jobs (seq 0)
+// by ID, then finished ones in the order they finished. Every record
+// set that leaves this backend goes out in this order, never map
+// order, so the seqs a receiver mints for them and what its retention
+// evicts do not change from run to run. Callers hold s.mu.
+func (s *Server) jobsBySeqLocked() []*job {
+	js := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		js = append(js, j)
+	}
+	slices.SortFunc(js, func(a, b *job) int {
+		return cmp.Or(cmp.Compare(a.seq, b.seq), strings.Compare(a.id, b.id))
+	})
+	return js
 }
 
 // reseedAbove re-sends to one target every record a watermark
@@ -566,7 +587,7 @@ func (s *Server) seedReplicationToLocked(target string) {
 func (s *Server) reseedAbove(target string, fromSeq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range s.jobs {
+	for _, j := range s.jobsBySeqLocked() {
 		if j.seq > fromSeq || !j.finished {
 			s.rep.enqueueTo(target, s.recordOf(j, j.seq))
 		}
@@ -844,7 +865,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	prefix := r.URL.Query().Get("prefix")
 	s.mu.Lock()
 	resp := RecordsResponse{Records: []store.JobRecord{}}
-	for _, j := range s.jobs {
+	for _, j := range s.jobsBySeqLocked() {
 		if prefix != "" && !strings.HasPrefix(j.id, prefix) {
 			continue
 		}

@@ -522,3 +522,49 @@ func TestReplayRetentionDropsPromotedReplica(t *testing.T) {
 		restarted.Close()
 	}
 }
+
+// TestRecordsLeaveInSeqOrder: GET /v1/records lists a backend's jobs in
+// (Seq, ID) order, never map order, so a backend that adopts them
+// through /v1/reconcile mints its terminal seqs — and retention evicts
+// — the same way every run. The two records' IDs sort against their
+// seqs, so an ID-only order would evict the other job.
+func TestRecordsLeaveInSeqOrder(t *testing.T) {
+	recs := []store.JobRecord{
+		{ID: "p0-job-00000001", Key: "k1", State: server.StateDone, Result: json.RawMessage(`{"n":1}`), Seq: 2},
+		{ID: "p0-job-00000002", Key: "k2", State: server.StateDone, Result: json.RawMessage(`{"n":2}`), Seq: 1},
+	}
+	evicted, kept := recs[1].ID, recs[0].ID
+	for iter := 0; iter < 20; iter++ {
+		ms := store.NewMemStore()
+		if err := ms.ApplyOps([]store.Op{
+			{Kind: store.OpPutJob, Rec: &recs[0]}, {Kind: store.OpPutJob, Rec: &recs[1]},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, source := newConfiguredServer(t, server.Config{
+			Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", Store: ms,
+		})
+		resp, body := get(t, source.URL+"/v1/records")
+		var rr server.RecordsResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &rr) != nil {
+			t.Fatalf("records: status %d (body %s)", resp.StatusCode, body)
+		}
+		_, target := newConfiguredServer(t, server.Config{
+			Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Retention: 1,
+		})
+		if resp, body := postJSON(t, target.URL+"/v1/reconcile",
+			server.ReconcileRequest{Records: rr.Records}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("reconcile: status %d (body %s)", resp.StatusCode, body)
+		}
+		status := func(id string) int {
+			resp, _ := get(t, target.URL+"/v1/jobs/"+id)
+			return resp.StatusCode
+		}
+		if status(evicted) != http.StatusNotFound || status(kept) != http.StatusOK {
+			t.Fatalf("iteration %d: after the reconcile %s answers %d and %s answers %d, want 404 and 200",
+				iter, evicted, status(evicted), kept, status(kept))
+		}
+		source.Close()
+		target.Close()
+	}
+}

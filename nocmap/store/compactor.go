@@ -42,8 +42,8 @@ func (fs *FileStore) CompactionStats() CompactionStats {
 		Compactions:  fs.compactions,
 		Running:      fs.compacting,
 		Segments:     fs.segments,
-		PendingOps:   fs.sealedOps + fs.walOps,
-		PendingBytes: fs.sealedSize + fs.walSize,
+		PendingOps:   fs.sealedOps + fs.activeOps,
+		PendingBytes: fs.sealedSize + fs.activeSize,
 		Errors:       fs.compactErrs,
 		LastError:    fs.lastCompactErr,
 	}
@@ -81,20 +81,22 @@ func (fs *FileStore) kickCompactorLocked() {
 }
 
 // runCompaction performs one full compaction pass. It takes the state
-// the latest rotation sealed — pointers to records already in memory,
-// so nothing is read back from disk — streams it to snapshot.json.tmp,
-// atomically publishes it and deletes the segments it covers. fs.mu is
-// taken only twice: to pick up the sealed state at the start and to
-// settle the counters at the end.
+// the latest rotation sealed — put ops sharing the records already in
+// memory, so nothing is read back from disk — streams it to the
+// snapshot tmp file, atomically publishes it under the number of the
+// last segment it covers and deletes those segments and the snapshot
+// it replaces. fs.mu is taken only twice: to pick up the sealed state
+// at the start and to settle the counters at the end.
 //
 // Failure is containment, not corruption: the WAL still holds every op
 // until the rename lands, so any error before the publish simply leaves
 // the segments (and the sealed state) in place for the next trigger to
 // retry. After a successful publish the counters are settled
-// unconditionally — leftover segment files (a failed delete, a crash)
-// are covered by the snapshot's wal_seq watermark and removed on the
-// next OpenConfig or pass, never re-folded and never re-counted (the
-// post-rename cleanup bug the single-file design had).
+// unconditionally — leftover files (a failed delete, a crash) are
+// covered by the new snapshot's name and removed on the next
+// OpenConfig (segments also on the next pass), never re-folded and
+// never re-counted (the post-rename cleanup bug the single-file design
+// had).
 func (fs *FileStore) runCompaction() {
 	fs.mu.Lock()
 	sealed := fs.sealed
@@ -150,10 +152,10 @@ func (fs *FileStore) runCompaction() {
 			fs.sealedSize = 0
 		}
 		if deleteErr != nil {
-			// The snapshot is published; the stale segments are covered
-			// by its wal_seq and will be removed on the next pass or
-			// OpenConfig. Record the failure, but the compaction succeeded —
-			// the counters settle unconditionally, so a cleanup failure
+			// The snapshot is published; the stale files are covered by
+			// its name and will be removed on the next OpenConfig.
+			// Record the failure, but the compaction succeeded — the
+			// counters settle unconditionally, so a cleanup failure
 			// can neither re-trigger a full compaction on every
 			// subsequent append nor re-fold already-folded ops on
 			// reboot (the single-file design's post-rename bug).
@@ -179,7 +181,7 @@ func (fs *FileStore) runCompaction() {
 
 	// Publish: stream to the tmp file, fsync, rename, fsync the dir.
 	tmp := fs.path(snapshotTmpFile)
-	if err := writeSnapshot(tmp, sealed.seq, &sealed.view, pace); err != nil {
+	if err := writeSnapshot(tmp, sealed.view, pace); err != nil {
 		os.Remove(tmp)
 		fail(err)
 		return
@@ -187,7 +189,7 @@ func (fs *FileStore) runCompaction() {
 	if hook != nil {
 		hook("tmp")
 	}
-	if err := os.Rename(tmp, fs.path(snapshotFile)); err != nil {
+	if err := os.Rename(tmp, fs.path(snapshotName(sealed.seq))); err != nil {
 		os.Remove(tmp)
 		fail(fmt.Errorf("store: publishing snapshot: %w", err))
 		return
@@ -203,16 +205,25 @@ func (fs *FileStore) runCompaction() {
 		hook("renamed")
 	}
 
-	// Retire: the folded segments are dead weight now — replay would
-	// skip them by wal_seq even if they survived.
+	// Retire: the folded segments and the old snapshot are dead weight
+	// now — OpenConfig would skip them by the new snapshot's name even
+	// if they survived.
 	deleted := 0
 	var deleteErr error
-	for seq := from; seq <= sealed.seq; seq++ {
-		if err := os.Remove(fs.path(segmentName(seq))); err != nil {
-			deleteErr = fmt.Errorf("store: deleting folded segment %s: %w", segmentName(seq), err)
-			continue
+	remove := func(name string) bool {
+		if err := os.Remove(fs.path(name)); err != nil {
+			deleteErr = fmt.Errorf("store: deleting folded %s: %w", name, err)
+			return false
 		}
-		deleted++
+		return true
+	}
+	for seq := from; seq <= sealed.seq; seq++ {
+		if remove(segmentName(seq)) {
+			deleted++
+		}
+	}
+	if from > 1 {
+		remove(snapshotName(from - 1))
 	}
 	if err := syncDir(fs.dir); err != nil && deleteErr == nil {
 		deleteErr = fmt.Errorf("store: syncing dir after segment delete: %w", err)

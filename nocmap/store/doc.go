@@ -16,4 +16,8 @@
 // for tests and process-lifetime replay) and FileStore (an fsynced
 // append-only WAL compacted into a snapshot, surviving SIGKILL at any
 // instant). FaultStore wraps either to inject disk faults per batch.
+//
+// An Op's JSON form is the store's one record format: each WAL line is
+// one Op, and a snapshot is a file of put ops, one per live record,
+// read back by the same replay as the WAL.
 package store

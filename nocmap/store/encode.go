@@ -5,7 +5,7 @@ import (
 	"strconv"
 )
 
-// The store's own records are encoded by hand so a result — the bulk
+// The store's lines are encoded by hand so a result — the bulk
 // of every line — is copied, not run through encoding/json's
 // validate-and-compact step a second time. The output is byte-identical
 // to json.Marshal: a field the fast path cannot prove json.Marshal
@@ -37,12 +37,9 @@ var rawSpecial = func() (t [256]bool) {
 }()
 
 // rawPlain reports whether json.Marshal's compact-and-escape step would
-// leave the raw JSON value m untouched. It does not check that m is
-// valid JSON.
+// leave the non-empty raw JSON value m untouched. It does not check
+// that m is valid JSON.
 func rawPlain(m []byte) bool {
-	if len(m) == 0 {
-		return false // json.Marshal rejects an empty non-nil raw value
-	}
 	for i := 0; i < len(m); i++ {
 		if !rawSpecial[m[i]] {
 			continue
@@ -56,11 +53,11 @@ func rawPlain(m []byte) bool {
 	return true
 }
 
-// recordEncoder appends the store's records. ok turns false at the
-// first field the fast path cannot encode; the caller then falls back
-// to json.Marshal. trusted skips json.Valid on raw fields, for records
-// read out of a memState: every raw value there passed json.Valid on
-// the append path or was produced by encoding/json's decoder on replay.
+// recordEncoder appends the store's lines. ok turns false at the first
+// field the fast path cannot encode; the caller then falls back to
+// json.Marshal. trusted skips json.Valid on raw fields, for ops read
+// out of a memState: every raw value there passed json.Valid on the
+// append path or was produced by encoding/json's decoder on replay.
 type recordEncoder struct {
 	b       []byte
 	ok      bool
@@ -80,10 +77,6 @@ func (e *recordEncoder) str(s string) {
 }
 
 func (e *recordEncoder) raw(m json.RawMessage) {
-	if m == nil {
-		e.b = append(e.b, "null"...)
-		return
-	}
 	if !rawPlain(m) || (!e.trusted && !json.Valid(m)) {
 		e.ok = false
 		return
@@ -137,15 +130,16 @@ func (e *recordEncoder) job(r *JobRecord) {
 	e.b = append(e.b, '}')
 }
 
-// appendWALOp appends op as json.Marshal encodes it. Raw fields must
-// pass json.Valid: an op replay cannot decode never reaches the WAL.
-func appendWALOp(dst []byte, op *walOp) ([]byte, error) {
-	e := recordEncoder{b: dst, ok: true}
+// appendWALOp appends op as json.Marshal encodes it. Unless trusted
+// (see recordEncoder), raw fields must pass json.Valid: an op replay
+// cannot decode never reaches the WAL.
+func appendWALOp(dst []byte, op *Op, trusted bool) ([]byte, error) {
+	e := recordEncoder{b: dst, ok: true, trusted: trusted}
 	e.b = append(e.b, `{"op":`...)
-	e.str(op.Op)
-	if op.Job != nil {
+	e.str(string(op.Kind))
+	if op.Rec != nil {
 		e.b = append(e.b, `,"job":`...)
-		e.job(op.Job)
+		e.job(op.Rec)
 	}
 	if op.ID != "" {
 		e.b = append(e.b, `,"id":`...)
@@ -163,37 +157,7 @@ func appendWALOp(dst []byte, op *walOp) ([]byte, error) {
 	if e.ok {
 		return e.b, nil
 	}
-	return appendMarshal(dst, op)
-}
-
-// appendJobRecord appends a snapshot job or replica record read out of
-// a memState (raw fields trusted, see recordEncoder).
-func appendJobRecord(dst []byte, r *JobRecord) ([]byte, error) {
-	e := recordEncoder{b: dst, ok: true, trusted: true}
-	e.job(r)
-	if e.ok {
-		return e.b, nil
-	}
-	return appendMarshal(dst, r)
-}
-
-// appendCacheEntry appends a snapshot cache entry read out of a
-// memState (raw fields trusted, see recordEncoder).
-func appendCacheEntry(dst []byte, c *CacheEntry) ([]byte, error) {
-	e := recordEncoder{b: dst, ok: true, trusted: true}
-	e.b = append(e.b, `{"key":`...)
-	e.str(c.Key)
-	e.b = append(e.b, `,"result":`...)
-	e.raw(c.Result)
-	e.b = append(e.b, '}')
-	if e.ok {
-		return e.b, nil
-	}
-	return appendMarshal(dst, c)
-}
-
-func appendMarshal(dst []byte, v any) ([]byte, error) {
-	data, err := json.Marshal(v)
+	data, err := json.Marshal(op)
 	if err != nil {
 		return dst, err
 	}

@@ -35,8 +35,11 @@ var walFuzzSeeds = []struct {
 	{"job", "job-\u2028", "k\u2029", "done", "", []byte("[\"\u2028\",\"\u2029\"]"), nil, nil, 1, false},
 }
 
-// FuzzWALEncoding checks the hand-written WAL and snapshot encoders
-// against json.Marshal: the same bytes, or an error on both sides.
+// FuzzWALEncoding checks the hand-written line encoder against
+// json.Marshal(Op) on both of its paths: the WAL append path, which
+// validates raw fields (the same bytes, or an error on both sides), and
+// the trusted path that writes snapshots of a memState (the same bytes
+// for every op a memState can hold).
 func FuzzWALEncoding(f *testing.F) {
 	for _, s := range walFuzzSeeds {
 		f.Add(s.op, s.id, s.key, s.state, s.origin, s.result, s.problem, s.errRaw, s.seq, s.hit, s.result == nil)
@@ -47,12 +50,13 @@ func FuzzWALEncoding(f *testing.F) {
 		}
 		rec := &JobRecord{ID: id, Key: key, Problem: problem, State: state, CacheHit: hit, Coalesced: !hit,
 			Result: result, Error: errRaw, Seq: seq, Minted: seq / 3, Origin: origin}
-		for _, op := range []walOp{
-			{Op: opName, Job: rec, ID: id},
-			{Op: opName, Key: key, Result: result},
-		} {
-			got, gerr := appendWALOp([]byte("prefix"), &op)
-			want, werr := json.Marshal(&op)
+		ops := []Op{
+			{Kind: OpKind(opName), Rec: rec, ID: id},
+			{Kind: OpKind(opName), Key: key, Result: result},
+		}
+		for i := range ops {
+			got, gerr := appendWALOp([]byte("prefix"), &ops[i], false)
+			want, werr := json.Marshal(&ops[i])
 			if (gerr != nil) != (werr != nil) {
 				t.Fatalf("appendWALOp err = %v, json.Marshal err = %v", gerr, werr)
 			}
@@ -60,26 +64,25 @@ func FuzzWALEncoding(f *testing.F) {
 				t.Fatalf("appendWALOp = %s\njson.Marshal = %s", got, want)
 			}
 		}
-		// Snapshot records come out of a memState, whose raw values are
-		// all valid JSON (the append path refuses anything else).
+		// A memState holds only raw values that are valid JSON (the
+		// append path refuses anything else) and only put ops of the
+		// shapes apply stores.
 		for _, raw := range [][]byte{result, problem, errRaw} {
 			if len(raw) > 0 && !json.Valid(raw) {
 				return
 			}
 		}
-		if result != nil && len(result) == 0 {
-			return // json.Marshal refuses it; no memState holds one
+		trusted := []Op{
+			{Kind: OpPutJob, Rec: rec},
+			{Kind: OpPutReplica, Rec: rec},
+			{Kind: OpPutCache, Key: key, Result: result},
 		}
-		got, gerr := appendJobRecord(nil, rec)
-		want, werr := json.Marshal(rec)
-		if gerr != nil || werr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("appendJobRecord = %s, %v\njson.Marshal = %s, %v", got, gerr, want, werr)
-		}
-		entry := &CacheEntry{Key: key, Result: result}
-		got, gerr = appendCacheEntry(nil, entry)
-		want, werr = json.Marshal(entry)
-		if gerr != nil || werr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("appendCacheEntry = %s, %v\njson.Marshal = %s, %v", got, gerr, want, werr)
+		for i := range trusted {
+			got, gerr := appendWALOp(nil, &trusted[i], true)
+			want, werr := json.Marshal(&trusted[i])
+			if gerr != nil || werr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("trusted appendWALOp = %s, %v\njson.Marshal = %s, %v", got, gerr, want, werr)
+			}
 		}
 	})
 }
@@ -128,7 +131,7 @@ func TestRawFieldRewrittenLikeMarshal(t *testing.T) {
 	want := make([]byte, 0, 256)
 	for i, raw := range raws {
 		r := irec(fmt.Sprintf("job-%d", i), uint64(i+1), raw)
-		line, err := json.Marshal(walOp{Op: "job", Job: &r})
+		line, err := json.Marshal(Op{Kind: OpPutJob, Rec: &r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,14 +183,7 @@ func TestRawFieldRewrittenLikeMarshal(t *testing.T) {
 	}
 	check(again)
 	// Fold the replayed state into a snapshot and read it back.
-	again.mu.Lock()
-	err = again.rotateLocked()
-	again.kickCompactorLocked()
-	again.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCompactions(t, again, 1)
+	compactNow(t, again, 1)
 	if err := again.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +234,8 @@ func TestPoisonedStoreNeverPublishesUnappliedOp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fs.applyFault = func(op walOp) error {
-		if op.Job != nil && op.Job.ID == "job-poison" {
+	fs.applyFault = func(op Op) error {
+		if op.Rec != nil && op.Rec.ID == "job-poison" {
 			return fmt.Errorf("injected apply fault")
 		}
 		return nil

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,31 +9,33 @@ import (
 
 // FileStore is the durable JobStore: an append-only JSON-lines WAL,
 // split into segment files (wal.000001.jsonl, ...), folded into a
-// snapshot (snapshot.json) by a dedicated compactor goroutine. Every
-// append is fsynced before the call returns, so a SIGKILL at any
-// instant loses at most the operation in flight; a torn final line in
-// the active segment (the signature of a crash mid-append) is detected
-// and truncated away on the next OpenConfig.
+// snapshot by a dedicated compactor goroutine. A snapshot is a sealed
+// segment of put ops named for the highest segment it covers
+// (snap.000042.jsonl covers wal.000001 to wal.000042), so one reader
+// replays both. Every append is fsynced before the call returns, so a
+// SIGKILL at any instant loses at most the operation in flight; a torn
+// final line in the active segment (the signature of a crash
+// mid-append) is detected and truncated away on the next OpenConfig.
 //
 // Compaction is off the writer path by construction: hitting a trigger
 // (op count or WAL bytes, see FileConfig) rotates to a fresh active
-// segment — a couple of metadata syscalls plus an ordered list of
-// record pointers taken under the store lock — and the compactor
-// streams that list, the state the store had applied when it sealed
+// segment — a couple of metadata syscalls plus an ordered list of put
+// ops sharing the in-memory records, taken under the store lock — and
+// the compactor streams that list, the state the store had applied when it sealed
 // the segment, into a new snapshot without ever blocking an append or
 // reading the WAL back. A snapshot that takes seconds to write
 // therefore costs concurrent appends nothing but disk bandwidth.
 type FileStore struct {
 	dir string
 
-	mu      sync.Mutex
-	wal     *os.File // active segment, open for append
-	walSeq  uint64   // active segment's sequence number
-	walOps  int      // whole-line appends in the active segment
-	walSize int64    // end offset of the last fully appended line
-	closed  bool
-	roCause string // non-empty: the store refused further writes (see readOnlyLocked)
-	state   memState
+	mu         sync.Mutex
+	wal        *os.File // active segment, open for append
+	walSeq     uint64   // active segment's sequence number
+	activeOps  int      // whole-line appends in the active segment
+	activeSize int64    // end offset of the last fully appended line
+	closed     bool
+	roCause    string // non-empty: the store refused further writes (see readOnlyLocked)
+	state      memState
 
 	compactOps   int   // op-count compaction trigger floor
 	compactBytes int64 // byte-size compaction trigger
@@ -63,58 +64,11 @@ type FileStore struct {
 	// observes the compactor's publish steps (the crash suite SIGKILLs
 	// inside it), compactThrottle stretches the snapshot encode (the
 	// latency bench forces a multi-second compaction with it).
-	applyFault      func(walOp) error
+	applyFault      func(Op) error
 	compactHook     func(step string)
 	compactThrottle func()
 
 	line []byte // WAL encode buffer, reused under mu
-}
-
-// memState is the store's authoritative in-memory image, mirrored by
-// snapshot+WAL on disk. Records are never mutated in place — a put
-// stores a fresh copy — so a view's pointers stay valid after the
-// state moves on.
-type memState struct {
-	jobs         map[string]*JobRecord
-	jobOrder     []string
-	cache        map[string]json.RawMessage
-	cacheOrder   []string
-	replicas     map[string]*JobRecord
-	replicaOrder []string
-}
-
-func newMemState() memState {
-	return memState{
-		jobs:     make(map[string]*JobRecord),
-		cache:    make(map[string]json.RawMessage),
-		replicas: make(map[string]*JobRecord),
-	}
-}
-
-// stateView is a memState's contents in order, as shared pointers.
-type stateView struct {
-	jobs     []*JobRecord
-	cache    []CacheEntry
-	replicas []*JobRecord
-}
-
-// view lists the state's records in order without copying them.
-func (s *memState) view() stateView {
-	v := stateView{
-		jobs:     make([]*JobRecord, len(s.jobOrder)),
-		cache:    make([]CacheEntry, len(s.cacheOrder)),
-		replicas: make([]*JobRecord, len(s.replicaOrder)),
-	}
-	for i, id := range s.jobOrder {
-		v.jobs[i] = s.jobs[id]
-	}
-	for i, key := range s.cacheOrder {
-		v.cache[i] = CacheEntry{Key: key, Result: s.cache[key]}
-	}
-	for i, id := range s.replicaOrder {
-		v.replicas[i] = s.replicas[id]
-	}
-	return v
 }
 
 // sealedState is what a rotation hands the compactor: the applied
@@ -125,16 +79,7 @@ type sealedState struct {
 	seq  uint64
 	ops  int
 	size int64
-	view stateView
-}
-
-// walOp is one log line.
-type walOp struct {
-	Op     string          `json:"op"` // "job", "deljob", "cache", "delcache", "replica", "delreplica"
-	Job    *JobRecord      `json:"job,omitempty"`
-	ID     string          `json:"id,omitempty"`
-	Key    string          `json:"key,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
+	view []Op
 }
 
 const (
@@ -165,25 +110,25 @@ type FileConfig struct {
 	CompactBytes int64
 }
 
-// OpenConfig opens (or creates) a file store rooted at dir. It reads
-// the snapshot, replays the WAL segments on top — deleting stale
-// segments the snapshot already covers, dropping a torn trailing line
-// left by a crash mid-append, and removing a stale snapshot.json.tmp
-// left by a compaction the crash interrupted — then leaves the active
-// segment open for appending and starts the compactor goroutine. It
-// refuses a directory holding a wal.jsonl, the single-file WAL of a
-// store from before WAL segments, rather than start empty beside it.
+// OpenConfig opens (or creates) a file store rooted at dir. It replays
+// the newest snapshot and the WAL segments above it — deleting older
+// snapshots and the segments the snapshot already covers, dropping a
+// torn trailing line left by a crash mid-append, and removing a stale
+// snapshot tmp file left by a compaction the crash interrupted — then
+// leaves the active segment open for appending and starts the
+// compactor goroutine. It refuses a directory holding a wal.jsonl or a
+// snapshot.json, the files of older store formats, rather than start
+// empty beside them.
 func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); err == nil {
-		return nil, fmt.Errorf("store: %s holds %s, a single-file WAL from before WAL segments, which this version cannot read",
-			dir, legacyWALFile)
+	ls, err := listDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	fs := &FileStore{
 		dir:           dir,
-		state:         newMemState(),
 		compactOps:    cfg.CompactOps,
 		compactBytes:  cfg.CompactBytes,
 		kick:          make(chan struct{}, 1),
@@ -198,40 +143,46 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 	}
 	fs.compactCond = sync.NewCond(&fs.mu)
 
-	// A snapshot.json.tmp is a compaction that never published — a
+	// A snapshot tmp file is a compaction that never published — a
 	// crash or error between the tmp write and the rename. It must not
 	// survive into this incarnation: the next compaction recreates it
 	// from scratch, and nothing else may ever read it.
-	if err := os.Remove(fs.path(snapshotTmpFile)); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: removing stale snapshot tmp: %w", err)
+	if ls.tmp {
+		if err := os.Remove(fs.path(snapshotTmpFile)); err != nil {
+			return nil, fmt.Errorf("store: removing stale snapshot tmp: %w", err)
+		}
 	}
 
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	snapSeq, err := readSnapshot(fs.path(snapshotFile), &fs.state)
-	if err != nil {
-		return nil, err
+	// Older snapshots and the segments the newest one covers are
+	// leftovers of a crash (or failed delete) after the rename landed:
+	// their ops are folded in, so replaying them would be redundant at
+	// best. Delete, don't read.
+	var snapSeq uint64
+	var stale []string
+	if n := len(ls.snaps); n > 0 {
+		snapSeq = ls.snaps[n-1]
+		if _, _, err := replaySegment(fs.path(snapshotName(snapSeq)), &fs.state, false); err != nil {
+			return nil, err
+		}
+		for _, seq := range ls.snaps[:n-1] {
+			stale = append(stale, snapshotName(seq))
+		}
 	}
 	fs.snapSeq = snapSeq
-
-	// Segments the snapshot already covers are leftovers of a crash (or
-	// failed delete) after the rename landed: their ops are folded in,
-	// so replaying them would be redundant at best. Delete, don't read.
-	live := segs[:0]
-	stale := false
-	for _, seq := range segs {
+	live := ls.segs[:0]
+	for _, seq := range ls.segs {
 		if seq <= snapSeq {
-			if err := os.Remove(fs.path(segmentName(seq))); err != nil {
-				return nil, fmt.Errorf("store: removing folded segment %s: %w", segmentName(seq), err)
-			}
-			stale = true
+			stale = append(stale, segmentName(seq))
 			continue
 		}
 		live = append(live, seq)
 	}
-	if stale {
+	for _, name := range stale {
+		if err := os.Remove(fs.path(name)); err != nil {
+			return nil, fmt.Errorf("store: removing folded %s: %w", name, err)
+		}
+	}
+	if len(stale) > 0 {
 		if err := syncDir(dir); err != nil {
 			return nil, fmt.Errorf("store: syncing dir after stale segment cleanup: %w", err)
 		}
@@ -264,8 +215,8 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 				return nil, fmt.Errorf("store: truncating torn wal tail: %w", err)
 			}
 		}
-		fs.walOps = ops
-		fs.walSize = good
+		fs.activeOps = ops
+		fs.activeSize = good
 	}
 
 	if len(live) == 0 {
@@ -309,110 +260,6 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 
 func (fs *FileStore) path(name string) string { return filepath.Join(fs.dir, name) }
 
-// validate rejects malformed operations before they reach the WAL or
-// the state: an invalid op must never be fsynced to disk, where it
-// would poison every subsequent replay.
-func (op walOp) validate() error {
-	switch op.Op {
-	case "job", "replica":
-		if op.Job == nil || op.Job.ID == "" {
-			return fmt.Errorf("store: %s op without record", op.Op)
-		}
-	case "deljob", "delcache", "delreplica":
-	case "cache":
-		if op.Key == "" {
-			return fmt.Errorf("store: cache op without key")
-		}
-	default:
-		return fmt.Errorf("store: unknown wal op %q", op.Op)
-	}
-	return nil
-}
-
-// apply folds one WAL operation into the state.
-func (s *memState) apply(op walOp) error {
-	if err := op.validate(); err != nil {
-		return err
-	}
-	switch op.Op {
-	case "job":
-		s.putJob(*op.Job)
-	case "deljob":
-		s.delJob(op.ID)
-	case "cache":
-		s.putCache(op.Key, op.Result)
-	case "delcache":
-		s.delCache(op.Key)
-	case "replica":
-		s.putReplica(*op.Job)
-	case "delreplica":
-		s.delReplica(op.ID)
-	}
-	return nil
-}
-
-func (s *memState) putJob(rec JobRecord) {
-	if _, ok := s.jobs[rec.ID]; !ok {
-		s.jobOrder = append(s.jobOrder, rec.ID)
-	}
-	r := copyRecord(rec)
-	s.jobs[rec.ID] = &r
-}
-
-func (s *memState) delJob(id string) {
-	if _, ok := s.jobs[id]; !ok {
-		return
-	}
-	delete(s.jobs, id)
-	for i, have := range s.jobOrder {
-		if have == id {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-func (s *memState) putCache(key string, result json.RawMessage) {
-	if _, ok := s.cache[key]; !ok {
-		s.cacheOrder = append(s.cacheOrder, key)
-	}
-	s.cache[key] = rawCopy(result)
-}
-
-func (s *memState) delCache(key string) {
-	if _, ok := s.cache[key]; !ok {
-		return
-	}
-	delete(s.cache, key)
-	for i, have := range s.cacheOrder {
-		if have == key {
-			s.cacheOrder = append(s.cacheOrder[:i], s.cacheOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-func (s *memState) putReplica(rec JobRecord) {
-	if _, ok := s.replicas[rec.ID]; !ok {
-		s.replicaOrder = append(s.replicaOrder, rec.ID)
-	}
-	r := copyRecord(rec)
-	s.replicas[rec.ID] = &r
-}
-
-func (s *memState) delReplica(id string) {
-	if _, ok := s.replicas[id]; !ok {
-		return
-	}
-	delete(s.replicas, id)
-	for i, have := range s.replicaOrder {
-		if have == id {
-			s.replicaOrder = append(s.replicaOrder[:i], s.replicaOrder[i+1:]...)
-			break
-		}
-	}
-}
-
 // writableLocked reports whether the store accepts writes. Callers
 // hold fs.mu.
 func (fs *FileStore) writableLocked() error {
@@ -429,8 +276,8 @@ func (fs *FileStore) writableLocked() error {
 // here is the one divergence the store cannot absorb: the op is durable
 // in the WAL but not in memory, so writes stop loudly (read-only)
 // instead of letting the two images drift apart silently. Callers hold
-// fs.mu and have already counted the op into walOps/walSize.
-func (fs *FileStore) applyLocked(op walOp) error {
+// fs.mu and have already counted the op into activeOps/activeSize.
+func (fs *FileStore) applyLocked(op Op) error {
 	err := func() error {
 		if fs.applyFault != nil {
 			if ferr := fs.applyFault(op); ferr != nil {
@@ -466,19 +313,16 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	if err := fs.writableLocked(); err != nil {
 		return err
 	}
-	wops := make([]walOp, len(ops))
 	buf := fs.line[:0]
-	for i, op := range ops {
-		w := op.wal()
-		if err := w.validate(); err != nil {
+	for i := range ops {
+		if err := ops[i].validate(); err != nil {
 			return err // never fsync an op replay would choke on
 		}
 		var err error
-		if buf, err = appendWALOp(buf, &w); err != nil {
+		if buf, err = appendWALOp(buf, &ops[i], false); err != nil {
 			return fmt.Errorf("store: encoding wal op: %w", err)
 		}
 		buf = append(buf, '\n')
-		wops[i] = w
 	}
 	fs.keepLine(buf)
 	if _, err := fs.wal.Write(buf); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
@@ -493,11 +337,11 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
 		return fmt.Errorf("store: syncing wal batch: %w", err)
 	}
-	fs.walSize += int64(len(buf))
-	fs.walOps += len(wops)
+	fs.activeSize += int64(len(buf))
+	fs.activeOps += len(ops)
 	var firstErr error
-	for _, w := range wops {
-		if err := fs.applyLocked(w); err != nil && firstErr == nil {
+	for _, op := range ops {
+		if err := fs.applyLocked(op); err != nil && firstErr == nil {
 			// Keep applying the rest: the WAL holds the whole batch, so
 			// memory should carry everything it can before the store
 			// goes read-only on the divergence.
@@ -524,7 +368,7 @@ func (fs *FileStore) keepLine(b []byte) {
 // store refuses further writes — better loudly read-only than silently
 // corrupting.
 func (fs *FileStore) rollbackLocked() {
-	if err := fs.wal.Truncate(fs.walSize); err != nil {
+	if err := fs.wal.Truncate(fs.activeSize); err != nil {
 		fs.roCause = fmt.Sprintf("wal rollback failed: %v", err)
 	}
 }
@@ -539,9 +383,9 @@ func (fs *FileStore) maybeCompactLocked() {
 	if fs.closed || fs.roCause != "" {
 		return
 	}
-	live := len(fs.state.jobs) + len(fs.state.cache) + len(fs.state.replicas)
-	totalOps := fs.sealedOps + fs.walOps
-	totalBytes := fs.sealedSize + fs.walSize
+	live := fs.state.len()
+	totalOps := fs.sealedOps + fs.activeOps
+	totalBytes := fs.sealedSize + fs.activeSize
 	opsTrigger := totalOps >= fs.compactOps && totalOps > 4*live
 	if !opsTrigger && totalBytes < fs.compactBytes {
 		return
@@ -552,8 +396,8 @@ func (fs *FileStore) maybeCompactLocked() {
 	// one awaiting retry), appends must not rotate once per op — a
 	// multi-second compaction bounds the active segment by re-rotating
 	// only when that segment re-crosses a trigger on its own.
-	activeBig := fs.walOps >= fs.compactOps || fs.walSize >= fs.compactBytes
-	if fs.walOps > 0 && (activeBig || (fs.sealedOps == 0 && fs.sealedSize == 0)) {
+	activeBig := fs.activeOps >= fs.compactOps || fs.activeSize >= fs.compactBytes
+	if fs.activeOps > 0 && (activeBig || (fs.sealedOps == 0 && fs.sealedSize == 0)) {
 		if err := fs.rotateLocked(); err != nil {
 			// The WAL keeps appending to the current segment; the trigger
 			// stays satisfied and retries on the next append.
@@ -588,30 +432,16 @@ func (fs *FileStore) rotateLocked() error {
 	old := fs.wal
 	fs.wal = f
 	fs.walSeq = next
-	fs.sealedOps += fs.walOps
-	fs.sealedSize += fs.walSize
-	fs.walOps = 0
-	fs.walSize = 0
+	fs.sealedOps += fs.activeOps
+	fs.sealedSize += fs.activeSize
+	fs.activeOps = 0
+	fs.activeSize = 0
 	fs.segments++
 	fs.sealed = &sealedState{seq: next - 1, ops: fs.sealedOps, size: fs.sealedSize, view: fs.state.view()}
 	// Every line in the sealed segment is already fsynced whole; the
 	// close releases the descriptor, nothing more.
 	old.Close()
 	return nil
-}
-
-func (s *memState) snapshot() *Snapshot {
-	snap := &Snapshot{}
-	for _, id := range s.jobOrder {
-		snap.Jobs = append(snap.Jobs, copyRecord(*s.jobs[id]))
-	}
-	for _, key := range s.cacheOrder {
-		snap.Cache = append(snap.Cache, CacheEntry{Key: key, Result: rawCopy(s.cache[key])})
-	}
-	for _, id := range s.replicaOrder {
-		snap.Replicas = append(snap.Replicas, copyRecord(*s.replicas[id]))
-	}
-	return snap
 }
 
 // Load implements JobStore.

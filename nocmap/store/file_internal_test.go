@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +40,20 @@ func waitCompactions(t *testing.T, fs *FileStore, n uint64) CompactionStats {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// compactNow seals the active segment, folds everything sealed into a
+// snapshot and waits until the store has published n snapshots.
+func compactNow(t *testing.T, fs *FileStore, n uint64) {
+	t.Helper()
+	fs.mu.Lock()
+	err := fs.rotateLocked()
+	fs.kickCompactorLocked()
+	fs.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCompactions(t, fs, n)
 }
 
 // loadJSON marshals a store's snapshot for byte-level comparison.
@@ -82,13 +97,21 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The snapshot must carry the coverage watermark.
-	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	// The snapshot's name must carry the coverage watermark: it covers
+	// every segment below the active one, and nothing else is left.
+	fs.mu.Lock()
+	active := fs.walSeq
+	fs.mu.Unlock()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"wal_seq":`)) {
-		t.Fatalf("snapshot missing wal_seq watermark: %.120s", raw)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{snapshotName(active - 1), segmentName(active)}; !slices.Equal(names, want) {
+		t.Fatalf("store files = %v, want %v", names, want)
 	}
 
 	again, err := OpenConfig(dir, FileConfig{})
@@ -168,10 +191,9 @@ func TestAppendsDuringCompaction(t *testing.T) {
 	}
 }
 
-// TestStaleSnapshotTmpRemovedOnOpen is the satellite regression: a
-// snapshot.json.tmp left by a compaction that died before publishing
-// must be deleted during recovery — it is not a snapshot and nothing
-// may ever read it.
+// TestStaleSnapshotTmpRemovedOnOpen: a snapshot tmp file left by a
+// compaction that died before publishing must be deleted during
+// recovery — it is not a snapshot and nothing may ever read it.
 func TestStaleSnapshotTmpRemovedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := OpenConfig(dir, FileConfig{})
@@ -185,7 +207,8 @@ func TestStaleSnapshotTmpRemovedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	tmp := filepath.Join(dir, snapshotTmpFile)
-	if err := os.WriteFile(tmp, []byte(`{"wal_seq":9,"jobs":[half-written garb`), 0o644); err != nil {
+	half := `{"op":"job","job":{"id":"job-9","state":"done"}}` + "\n" + `{"op":"job","job":{"id":"job-10","sta`
+	if err := os.WriteFile(tmp, []byte(half), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	again, err := OpenConfig(dir, FileConfig{})
@@ -259,7 +282,7 @@ func TestCompactionSurvivesLeftoverSegment(t *testing.T) {
 		t.Fatalf("reopen with leftover folded segment: %v", err)
 	}
 	defer again.Close()
-	// The leftover is covered by the snapshot's wal_seq: deleted, not
+	// The leftover is covered by the snapshot's name: deleted, not
 	// replayed (replaying would double-fold the churned ops).
 	if after := loadJSON(t, again); !bytes.Equal(before, after) {
 		t.Fatalf("leftover segment was re-folded:\n before %s\n after  %s", before, after)
@@ -355,8 +378,8 @@ func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.applyFault = func(op walOp) error {
-		if op.Job != nil && op.Job.ID == "job-poison" {
+	fs.applyFault = func(op Op) error {
+		if op.Rec != nil && op.Rec.ID == "job-poison" {
 			return fmt.Errorf("injected apply fault")
 		}
 		return nil
@@ -379,10 +402,10 @@ func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 	}
 	// The WAL holds the whole fsynced batch and the counters cover it.
 	fs.mu.Lock()
-	walOps := fs.walOps
+	activeOps := fs.activeOps
 	fs.mu.Unlock()
-	if walOps != 3 {
-		t.Fatalf("walOps = %d after a 3-op fsynced batch, want 3", walOps)
+	if activeOps != 3 {
+		t.Fatalf("activeOps = %d after a 3-op fsynced batch, want 3", activeOps)
 	}
 	// Reads still work, and memory carries everything that applied.
 	snap, err := fs.Load()
@@ -419,7 +442,7 @@ func TestSingleOpApplyFailureGoesReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	fs.applyFault = func(op walOp) error { return fmt.Errorf("injected apply fault") }
+	fs.applyFault = func(op Op) error { return fmt.Errorf("injected apply fault") }
 	if err := Apply(fs, PutJob(irec("job-a", 1, ""))); err == nil {
 		t.Fatal("append with a poisoned apply must fail")
 	}
@@ -453,6 +476,134 @@ func TestLegacyWALMigration(t *testing.T) {
 	}
 	if got, err := os.ReadFile(filepath.Join(dir, legacyWALFile)); err != nil || string(got) != legacyWAL {
 		t.Fatalf("wal.jsonl changed: %q (err=%v)", got, err)
+	}
+}
+
+// TestLegacySnapshotRefused: a store whose snapshot is the JSON-object
+// snapshot.json from before snapshots were WAL lines is refused with an
+// error naming the file, and the directory is left as it was — Open
+// never starts over it with the snapshot's records missing.
+func TestLegacySnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		legacySnapshotFile: `{"wal_seq":1,"jobs":[{"id":"job-old","key":"key-job-old","state":"done","seq":1}],"cache":[]}` + "\n",
+		segmentName(2):     `{"op":"deljob","id":"job-old"}` + "\n",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs, err := OpenConfig(dir, FileConfig{}); err == nil || !strings.Contains(err.Error(), legacySnapshotFile) {
+		if fs != nil {
+			fs.Close()
+		}
+		t.Fatalf("Open over a snapshot.json = %v, want an error naming %s", err, legacySnapshotFile)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(files) {
+		t.Fatalf("refused directory changed: %v", entries)
+	}
+	for name, data := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != data {
+			t.Fatalf("%s changed: %q (err=%v)", name, got, err)
+		}
+	}
+}
+
+// TestCorruptSnapshotFailsLoudly: a snapshot is a sealed segment, so
+// neither a corrupt line nor a last line cut short is a torn tail —
+// Open fails naming the file and leaves it byte for byte as it was.
+func TestCorruptSnapshotFailsLoudly(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"corrupt-line": func(b []byte) []byte {
+			return append([]byte("{garbage\n"), b...)
+		},
+		"ends-mid-line": func(b []byte) []byte {
+			return b[:len(b)-5]
+		},
+		"bad-op": func(b []byte) []byte {
+			return append(b, `{"op":"job"}`+"\n"...)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := OpenConfig(dir, FileConfig{CompactOps: 1 << 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := Apply(fs, PutJob(irec(fmt.Sprintf("job-%d", i), uint64(i+1), `{"r":1}`))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			compactNow(t, fs, 1)
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snap := filepath.Join(dir, snapshotName(1))
+			data, err := os.ReadFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := damage(data)
+			if err := os.WriteFile(snap, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if fs, err := OpenConfig(dir, FileConfig{}); err == nil || !strings.Contains(err.Error(), snapshotName(1)) {
+				if fs != nil {
+					fs.Close()
+				}
+				t.Fatalf("Open over a damaged snapshot = %v, want an error naming %s", err, snapshotName(1))
+			}
+			if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, bad) {
+				t.Fatalf("damaged snapshot changed by Open: %q (err=%v)", got, err)
+			}
+		})
+	}
+}
+
+// TestOlderSnapshotRemovedOnOpen: a crash between a snapshot's rename
+// and the deletes leaves the snapshot it replaces beside it. Open
+// replays the newest one only and deletes the older one.
+func TestOlderSnapshotRemovedOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenConfig(dir, FileConfig{CompactOps: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(fs, PutJob(irec("job-1", 1, `{"r":1}`)), PutCache("k1", json.RawMessage(`[1]`))); err != nil {
+		t.Fatal(err)
+	}
+	compactNow(t, fs, 1)
+	older, err := os.ReadFile(filepath.Join(dir, snapshotName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(fs, DeleteJob("job-1"), PutJob(irec("job-2", 2, `{"r":2}`)), PutCache("k1", json.RawMessage(`[2]`))); err != nil {
+		t.Fatal(err)
+	}
+	compactNow(t, fs, 2)
+	before := loadJSON(t, fs)
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), older, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenConfig(dir, FileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if after := loadJSON(t, again); !bytes.Equal(before, after) {
+		t.Fatalf("reopen beside an older snapshot:\n before %s\n after  %s", before, after)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotName(1))); !os.IsNotExist(err) {
+		t.Fatalf("older snapshot survived Open (err=%v)", err)
 	}
 }
 

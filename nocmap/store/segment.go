@@ -8,7 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -17,19 +17,24 @@ import (
 // highest-numbered segment is active (open for append); everything
 // below it is sealed — immutable, awaiting the compactor. Rotation
 // (sealing the active segment and opening the next) is a handful of
-// metadata syscalls under fs.mu; folding sealed segments into the
+// metadata syscalls under fs.mu; folding sealed segments into a
 // snapshot is the compactor goroutine's job and never touches the
-// append path.
+// append path. A snapshot, snap.000042.jsonl, is one more sealed
+// segment: the put ops that rebuild the state as of segment 42, which
+// its name says it covers.
 const (
-	segmentPrefix = "wal."
-	segmentSuffix = ".jsonl"
+	segmentPrefix  = "wal."
+	snapshotPrefix = "snap."
+	segmentSuffix  = ".jsonl"
 
-	snapshotFile    = "snapshot.json"
-	snapshotTmpFile = snapshotFile + ".tmp"
+	snapshotTmpFile = "snap.tmp"
 
-	// legacyWALFile is the single-file WAL of a store from before WAL
-	// segments; OpenConfig refuses a directory that holds one.
-	legacyWALFile = "wal.jsonl"
+	// The files of older store formats, which OpenConfig refuses:
+	// legacyWALFile is the single-file WAL from before WAL segments,
+	// legacySnapshotFile the JSON-object snapshot from before
+	// snapshots were WAL lines.
+	legacyWALFile      = "wal.jsonl"
+	legacySnapshotFile = "snapshot.json"
 )
 
 // segmentName formats the on-disk name of segment seq.
@@ -37,10 +42,17 @@ func segmentName(seq uint64) string {
 	return fmt.Sprintf("%s%06d%s", segmentPrefix, seq, segmentSuffix)
 }
 
-// parseSegmentName extracts the sequence number from a segment file
-// name, or ok=false for any other name (including wal.jsonl).
-func parseSegmentName(name string) (uint64, bool) {
-	body, ok := strings.CutPrefix(name, segmentPrefix)
+// snapshotName formats the on-disk name of the snapshot covering every
+// segment up to seq.
+func snapshotName(seq uint64) string {
+	return fmt.Sprintf("%s%06d%s", snapshotPrefix, seq, segmentSuffix)
+}
+
+// parseSeqName extracts the sequence number from a segment or snapshot
+// file name with the given prefix, or ok=false for any other name
+// (including wal.jsonl).
+func parseSeqName(name, prefix string) (uint64, bool) {
+	body, ok := strings.CutPrefix(name, prefix)
 	if !ok {
 		return 0, false
 	}
@@ -60,26 +72,41 @@ func parseSegmentName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// listSegments returns the sequence numbers of every segment file in
-// dir, ascending.
-func listSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: listing %s: %w", dir, err)
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseSegmentName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, k int) bool { return seqs[i] < seqs[k] })
-	return seqs, nil
+// dirListing is what one ReadDir of a store directory tells OpenConfig.
+type dirListing struct {
+	segs, snaps []uint64 // ascending
+	tmp         bool     // a snapshot tmp file is present
 }
 
-// replaySegment applies one segment file to state, line by line, and
-// returns how many ops it held and the offset of the last whole line's
-// end. active marks the segment that was open for appending when the
+// listDir lists the store files in dir. It refuses a directory holding
+// a file of an older store format rather than start empty beside it.
+func listDir(dir string) (dirListing, error) {
+	var ls dirListing
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return ls, fmt.Errorf("store: listing %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if seq, ok := parseSeqName(name, segmentPrefix); ok {
+			ls.segs = append(ls.segs, seq)
+		} else if seq, ok := parseSeqName(name, snapshotPrefix); ok {
+			ls.snaps = append(ls.snaps, seq)
+		} else if name == snapshotTmpFile {
+			ls.tmp = true
+		} else if name == legacyWALFile || name == legacySnapshotFile {
+			return ls, fmt.Errorf("store: %s holds %s, a file of an older store format, which this version cannot read", dir, name)
+		}
+	}
+	// Names past six digits do not sort by number.
+	slices.Sort(ls.segs)
+	slices.Sort(ls.snaps)
+	return ls, nil
+}
+
+// replaySegment applies one segment or snapshot file to state, line by
+// line, and returns how many ops it held and the offset of the last
+// whole line's end. active marks the segment that was open for appending when the
 // process last stopped: only there may the final line be torn (the
 // signature of a crash mid-append) — it is skipped and the caller
 // truncates it away. Anywhere else, an undecodable line is real
@@ -91,7 +118,7 @@ func replaySegment(path string, state *memState, active bool) (ops int, good int
 		return 0, 0, nil
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: opening wal segment: %w", err)
+		return 0, 0, fmt.Errorf("store: opening %s: %w", filepath.Base(path), err)
 	}
 	defer f.Close()
 
@@ -101,7 +128,7 @@ func replaySegment(path string, state *memState, active bool) (ops int, good int
 		if rerr == io.EOF {
 			if len(bytes.TrimSpace(line)) > 0 {
 				if !active {
-					return ops, good, fmt.Errorf("store: sealed wal segment %s ends mid-line (not the active tail)", filepath.Base(path))
+					return ops, good, fmt.Errorf("store: %s ends mid-line (not the active wal tail)", filepath.Base(path))
 				}
 				return ops, good, nil // unterminated tail: torn mid-append
 			}
@@ -109,14 +136,14 @@ func replaySegment(path string, state *memState, active bool) (ops int, good int
 			return ops, good, nil
 		}
 		if rerr != nil {
-			return ops, good, fmt.Errorf("store: reading wal segment: %w", rerr)
+			return ops, good, fmt.Errorf("store: reading %s: %w", filepath.Base(path), rerr)
 		}
 		advance := int64(len(line))
 		if len(bytes.TrimSpace(line)) == 0 {
 			good += advance
 			continue
 		}
-		var op walOp
+		var op Op
 		if uerr := json.Unmarshal(line, &op); uerr != nil {
 			if _, peekErr := r.Peek(1); peekErr == io.EOF && active {
 				return ops, good, nil // torn final line
@@ -134,162 +161,34 @@ func replaySegment(path string, state *memState, active bool) (ops int, good int
 	}
 }
 
-// readSnapshot streams snapshot.json into state and returns the
-// highest WAL segment the snapshot has folded (its wal_seq field; 0
-// for a missing file). The decode is
-// token-streamed — one record in memory at a time, never the whole
-// multi-GB document in one buffer.
-func readSnapshot(path string, state *memState) (walSeq uint64, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("store: reading snapshot: %w", err)
-	}
-	defer f.Close()
-
-	dec := json.NewDecoder(bufio.NewReaderSize(f, 256<<10))
-	if err := expectDelim(dec, '{'); err != nil {
-		return 0, fmt.Errorf("store: parsing snapshot: %w", err)
-	}
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return 0, fmt.Errorf("store: parsing snapshot: %w", err)
-		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "wal_seq":
-			var seq uint64
-			if err := dec.Decode(&seq); err != nil {
-				return 0, fmt.Errorf("store: parsing snapshot wal_seq: %w", err)
-			}
-			walSeq = seq
-		case "jobs":
-			err = decodeArray(dec, func() error {
-				var rec JobRecord
-				if err := dec.Decode(&rec); err != nil {
-					return err
-				}
-				state.putJob(rec)
-				return nil
-			})
-		case "cache":
-			err = decodeArray(dec, func() error {
-				var entry CacheEntry
-				if err := dec.Decode(&entry); err != nil {
-					return err
-				}
-				state.putCache(entry.Key, entry.Result)
-				return nil
-			})
-		case "replicas":
-			err = decodeArray(dec, func() error {
-				var rec JobRecord
-				if err := dec.Decode(&rec); err != nil {
-					return err
-				}
-				state.putReplica(rec)
-				return nil
-			})
-		default:
-			var skip json.RawMessage
-			err = dec.Decode(&skip)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("store: parsing snapshot %q section: %w", key, err)
-		}
-	}
-	if err := expectDelim(dec, '}'); err != nil {
-		return 0, fmt.Errorf("store: parsing snapshot: %w", err)
-	}
-	return walSeq, nil
-}
-
-// expectDelim consumes one token and checks it is the given delimiter.
-func expectDelim(dec *json.Decoder, want rune) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || rune(d) != want {
-		return fmt.Errorf("unexpected token %v (want %q)", tok, want)
-	}
-	return nil
-}
-
-// decodeArray consumes a JSON array, calling elem once per element
-// with the decoder positioned at it.
-func decodeArray(dec *json.Decoder, elem func() error) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fmt.Errorf("unexpected token %v (want array)", tok)
-	}
-	for dec.More() {
-		if err := elem(); err != nil {
-			return err
-		}
-	}
-	return expectDelim(dec, ']')
-}
-
-// writeSnapshot streams view to path (created fresh) with walSeq as
-// the coverage watermark — the wal_seq field first, then each section
-// as a JSON array written record by record, so only one record (plus
-// the bufio window) is ever encoded in memory — then fsyncs and closes
-// it. throttle, when non-nil, is called once per record: the compactor
-// paces the encode with it, and the bench and crash suites stretch a
+// writeSnapshot writes ops to path (created fresh) as WAL lines, one
+// op in memory at a time, then fsyncs and closes it. The ops come out
+// of a memState, so their raw fields are trusted (see recordEncoder).
+// throttle, when non-nil, is called once per op: the compactor paces
+// the encode with it, and the bench and crash suites stretch a
 // compaction over a controlled wall-clock window.
-func writeSnapshot(path string, walSeq uint64, view *stateView, throttle func()) error {
+func writeSnapshot(path string, ops []Op, throttle func()) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot: %w", err)
 	}
-	// bufio.Writer errors are sticky: checking each record's Write (to
+	// bufio.Writer errors are sticky: checking each line's Write (to
 	// stop early) and the final Flush covers every write.
 	w := bufio.NewWriterSize(f, 256<<10)
-	var rec []byte
-	section := func(name string, n int, encode func(dst []byte, i int) ([]byte, error)) error {
-		fmt.Fprintf(w, `,%q:[`, name)
-		for i := 0; i < n; i++ {
-			rec = rec[:0]
-			if i > 0 {
-				rec = append(rec, ',')
-			}
-			var err error
-			if rec, err = encode(append(rec, '\n'), i); err != nil {
-				return err
-			}
-			if _, err := w.Write(rec); err != nil {
-				return err
-			}
-			if throttle != nil {
-				throttle()
-			}
+	var line []byte
+	for i := range ops {
+		if line, err = appendWALOp(line[:0], &ops[i], true); err != nil {
+			break
 		}
-		w.WriteByte(']')
-		return nil
-	}
-	fmt.Fprintf(w, `{"wal_seq":%d`, walSeq)
-	err = section("jobs", len(view.jobs), func(dst []byte, i int) ([]byte, error) {
-		return appendJobRecord(dst, view.jobs[i])
-	})
-	if err == nil {
-		err = section("cache", len(view.cache), func(dst []byte, i int) ([]byte, error) {
-			return appendCacheEntry(dst, &view.cache[i])
-		})
+		line = append(line, '\n')
+		if _, err = w.Write(line); err != nil {
+			break
+		}
+		if throttle != nil {
+			throttle()
+		}
 	}
 	if err == nil {
-		err = section("replicas", len(view.replicas), func(dst []byte, i int) ([]byte, error) {
-			return appendJobRecord(dst, view.replicas[i])
-		})
-	}
-	if err == nil {
-		w.WriteString("}\n")
 		err = w.Flush()
 	}
 	if err != nil {

@@ -72,11 +72,11 @@ type CacheEntry struct {
 }
 
 // Snapshot is everything a store holds, as loaded at boot: the latest
-// record per job (first-put order), the latest cache entry per key
-// (oldest write first, so re-inserting in order approximates the
-// pre-restart LRU recency), and the replica namespace — records this
-// instance holds on behalf of its ring predecessor, kept apart from its
-// own jobs so replication survives follower restarts too.
+// record per job, the latest cache entry per key, and the replica
+// namespace — records this instance holds on behalf of its ring
+// predecessor, kept apart from its own jobs so replication survives
+// follower restarts too. Each list is in the order its IDs or keys
+// were first put; a re-put does not move an entry.
 type Snapshot struct {
 	Jobs     []JobRecord  `json:"jobs"`
 	Cache    []CacheEntry `json:"cache"`
@@ -119,21 +119,16 @@ const (
 	OpDeleteReplica OpKind = "delreplica"
 )
 
-// Op is one store mutation in batch form. Exactly the fields the Kind
-// needs are set: Rec for puts of job/replica records, ID for job/replica
-// deletes, Key (and Result for puts) for cache operations.
+// Op is one store mutation, and its JSON form is one line of the WAL
+// and of a snapshot. Exactly the fields the Kind needs are set: Rec for
+// puts of job/replica records, ID for job/replica deletes, Key (and
+// Result for puts) for cache operations.
 type Op struct {
-	Kind   OpKind
-	Rec    *JobRecord
-	ID     string
-	Key    string
-	Result json.RawMessage
-}
-
-// wal converts a batch op to its WAL form. Callers own validation (the
-// walOp validate runs before anything is written).
-func (op Op) wal() walOp {
-	return walOp{Op: string(op.Kind), Job: op.Rec, ID: op.ID, Key: op.Key, Result: op.Result}
+	Kind   OpKind          `json:"op"`
+	Rec    *JobRecord      `json:"job,omitempty"`
+	ID     string          `json:"id,omitempty"`
+	Key    string          `json:"key,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // rawCopy deep-copies a raw message so callers may reuse their buffers.

@@ -464,9 +464,16 @@ func TestFileStoreCompaction(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snapInfo, err := os.Stat(filepath.Join(dir, "snapshot.json"))
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap.*.jsonl"))
 	if err != nil {
-		t.Fatalf("compaction never wrote a snapshot: %v", err)
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 {
+		t.Fatalf("compaction left snapshots %v, want exactly one", snaps)
+	}
+	snapInfo, err := os.Stat(snaps[0])
+	if err != nil {
+		t.Fatal(err)
 	}
 	if snapInfo.Size() == 0 {
 		t.Fatal("snapshot is empty")
@@ -475,16 +482,16 @@ func TestFileStoreCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var walSize int64
+	var activeSize int64
 	for _, seg := range segs {
 		info, err := os.Stat(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		walSize += info.Size()
+		activeSize += info.Size()
 	}
-	if walSize > 64<<10 {
-		t.Fatalf("wal did not shrink at compaction: %d bytes across %d segments", walSize, len(segs))
+	if activeSize > 64<<10 {
+		t.Fatalf("wal did not shrink at compaction: %d bytes across %d segments", activeSize, len(segs))
 	}
 
 	again, err := store.OpenConfig(dir, store.FileConfig{})
