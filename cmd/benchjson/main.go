@@ -52,7 +52,9 @@ const defaultPattern = "BenchmarkMapSinglePathSwapDelta$|BenchmarkRouteSinglePat
 	"BenchmarkMapSinglePathVOPD$|BenchmarkMapSinglePath65$|BenchmarkInitializeVOPD$|" +
 	"BenchmarkParseSubmit$|BenchmarkWriteJobStatus$|BenchmarkApplyOpsCacheHit$|BenchmarkSubmitCacheHit$"
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+// benchLine matches one result line; metrics a benchmark reports with
+// b.ReportMetric sit between ns/op and B/op and are skipped.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:(?:\s+[\d.]+ \S+)*?\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 // trimProcSuffix drops the "-N" GOMAXPROCS suffix go test appends to
 // benchmark names, so BENCH.json entries are comparable across

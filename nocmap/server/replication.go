@@ -393,15 +393,21 @@ func newRepStream(r *replicator, target string) *repStream {
 	return st
 }
 
+// add queues op for id, replacing and moving behind every other ID
+// any op still pending for it. Terminal seqs are assigned in enqueue
+// order, so pending terminal records leave in seq order and a follower
+// acking a batch never vouches for a seq above one still queued here.
 func (st *repStream) add(id string, op repOp) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.isClosed() {
 		return
 	}
-	if _, ok := st.pending[id]; !ok {
-		st.order = append(st.order, id)
+	if _, ok := st.pending[id]; ok {
+		i := slices.Index(st.order, id)
+		st.order = slices.Delete(st.order, i, i+1)
 	}
+	st.order = append(st.order, id)
 	st.pending[id] = op
 	st.cond.Signal()
 }

@@ -12,19 +12,27 @@ import (
 	"repro/nocmap/store"
 )
 
-// TestFailedPushRetriedFirstInOrder: after a failed push the batch goes
-// back to the front of the stream, in its own order, ahead of ops
-// queued while it was in flight; an ID a newer op superseded in flight
-// keeps the newer op in its queued place.
-func TestFailedPushRetriedFirstInOrder(t *testing.T) {
-	type push struct {
-		req   ReplicateRequest
-		reply chan int
-	}
-	pushes := make(chan push)
+// heldPush is one replicate push held at a test follower until the
+// test answers it.
+type heldPush struct {
+	req   ReplicateRequest
+	reply chan heldReply
+}
+
+// heldReply is the follower's answer: a status code, and on 200 the
+// watermark it reports.
+type heldReply struct {
+	code    int
+	highSeq uint64
+}
+
+// holdingFollower starts a follower that hands every push to the test
+// and answers as the test says. next waits for the next push.
+func holdingFollower(t *testing.T) (url string, next func() heldPush) {
+	pushes := make(chan heldPush)
 	done := make(chan struct{})
 	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		p := push{reply: make(chan int)}
+		p := heldPush{reply: make(chan heldReply)}
 		if err := json.NewDecoder(r.Body).Decode(&p.req); err != nil {
 			t.Error(err)
 		}
@@ -33,27 +41,45 @@ func TestFailedPushRetriedFirstInOrder(t *testing.T) {
 		case <-done:
 			return
 		}
-		var code int
+		var reply heldReply
 		select {
-		case code = <-p.reply:
+		case reply = <-p.reply:
 		case <-done:
 			return
 		}
-		if code != http.StatusOK {
-			w.WriteHeader(code)
+		if reply.code != http.StatusOK {
+			w.WriteHeader(reply.code)
 			return
 		}
-		writeJSON(w, http.StatusOK, ReplicateResponse{})
+		writeJSON(w, http.StatusOK, ReplicateResponse{HighSeq: reply.highSeq})
 	}))
-	defer follower.Close()
-	defer close(done) // before Close, which waits for blocked handlers
+	t.Cleanup(follower.Close)
+	t.Cleanup(func() { close(done) }) // before Close, which waits for blocked handlers
+	return follower.URL, func() heldPush {
+		t.Helper()
+		select {
+		case p := <-pushes:
+			return p
+		case <-time.After(10 * time.Second):
+			t.Fatal("no push reached the follower")
+			return heldPush{}
+		}
+	}
+}
 
+func doneRecord(id string, seq uint64) store.JobRecord {
+	return store.JobRecord{ID: id, State: StateDone, Seq: seq}
+}
+
+// TestFailedPushRetriedFirstInOrder: after a failed push the batch goes
+// back to the front of the stream, in its own order, ahead of ops
+// queued while it was in flight; an ID a newer op superseded in flight
+// keeps the newer op in its queued place.
+func TestFailedPushRetriedFirstInOrder(t *testing.T) {
+	url, next := holdingFollower(t)
 	r := newReplicator("p0-", replicatorHooks{})
 	defer r.close()
-	r.setTargets([]string{follower.URL})
-	rec := func(id string, seq uint64) store.JobRecord {
-		return store.JobRecord{ID: id, State: StateDone, Seq: seq}
-	}
+	r.setTargets([]string{url})
 	ids := func(req ReplicateRequest) []string {
 		var out []string
 		for _, rec := range req.Records {
@@ -61,28 +87,18 @@ func TestFailedPushRetriedFirstInOrder(t *testing.T) {
 		}
 		return out
 	}
-	next := func() push {
-		t.Helper()
-		select {
-		case p := <-pushes:
-			return p
-		case <-time.After(10 * time.Second):
-			t.Fatal("no push reached the follower")
-			return push{}
-		}
-	}
 
 	// A warm-up push holds the stream while the batch under test
 	// queues behind it, so that batch leaves as one push.
-	r.enqueue(rec("p0-job-warm", 1))
+	r.enqueue(doneRecord("p0-job-warm", 1))
 	warm := next()
 	var batch []string
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("p0-job-%02d", 8-i) // not in ID order
-		r.enqueue(rec(id, uint64(10+i)))
+		r.enqueue(doneRecord(id, uint64(10+i)))
 		batch = append(batch, fmt.Sprintf("%s@%d", id, 10+i))
 	}
-	warm.reply <- http.StatusOK
+	warm.reply <- heldReply{code: http.StatusOK}
 
 	first := next()
 	if got := ids(first.req); !slices.Equal(got, batch) {
@@ -90,14 +106,68 @@ func TestFailedPushRetriedFirstInOrder(t *testing.T) {
 	}
 	// While it is in flight: a new record, then a newer op for the
 	// batch's fourth ID.
-	r.enqueue(rec("p0-job-new", 30))
-	r.enqueue(rec("p0-job-05", 31))
-	first.reply <- http.StatusInternalServerError
+	r.enqueue(doneRecord("p0-job-new", 30))
+	r.enqueue(doneRecord("p0-job-05", 31))
+	first.reply <- heldReply{code: http.StatusInternalServerError}
 
 	want := append(slices.Delete(slices.Clone(batch), 3, 4), "p0-job-new@30", "p0-job-05@31")
 	retry := next()
 	if got := ids(retry.req); !slices.Equal(got, want) {
 		t.Fatalf("push after the failure carried %v, want %v", got, want)
 	}
-	retry.reply <- http.StatusOK
+	retry.reply <- heldReply{code: http.StatusOK}
+}
+
+// TestWatermarkNeverPassesPendingSeq: with more than one batch of ops
+// queued, jobs enqueued while live that finish late leave behind the
+// jobs that finished before them, so after every push the follower's
+// watermark — the highest terminal seq it holds — stays below every
+// terminal seq still queued at the primary, and a promotion by
+// watermark never picks a holder missing a seq below its own.
+func TestWatermarkNeverPassesPendingSeq(t *testing.T) {
+	url, next := holdingFollower(t)
+	r := newReplicator("p0-", replicatorHooks{})
+	defer r.close()
+	r.setTargets([]string{url})
+	r.mu.Lock()
+	st := r.streams[url]
+	r.mu.Unlock()
+
+	r.enqueue(doneRecord("p0-job-warm", 1))
+	warm := next()
+	// Two jobs are queued live ahead of 80 that finish first; then they
+	// finish too, with the last seqs.
+	r.enqueue(store.JobRecord{ID: "p0-job-live1", State: StateRunning})
+	r.enqueue(store.JobRecord{ID: "p0-job-live2", State: StateQueued})
+	seq := uint64(1)
+	for i := 0; i < 80; i++ {
+		seq++
+		r.enqueue(doneRecord(fmt.Sprintf("p0-job-%03d", i), seq))
+	}
+	r.enqueue(doneRecord("p0-job-live2", seq+1))
+	r.enqueue(doneRecord("p0-job-live1", seq+2))
+	warm.reply <- heldReply{code: http.StatusOK, highSeq: 1}
+
+	high, pushed := uint64(1), 0
+	for pushed < 82 {
+		p := next()
+		for _, rec := range p.req.Records {
+			if store.Terminal(rec.State) {
+				high = max(high, rec.Seq)
+			}
+			pushed++
+		}
+		st.mu.Lock()
+		for id, op := range st.pending {
+			if !op.del && store.Terminal(op.rec.State) && op.rec.Seq <= high {
+				st.mu.Unlock()
+				t.Fatalf("a push raised the follower's watermark to %d while %s@%d is still queued", high, id, op.rec.Seq)
+			}
+		}
+		st.mu.Unlock()
+		p.reply <- heldReply{code: http.StatusOK, highSeq: high}
+	}
+	if high != seq+2 {
+		t.Fatalf("follower's watermark ended at %d, want %d", high, seq+2)
+	}
 }

@@ -30,7 +30,9 @@ type storeBenchResult struct {
 	BaselineP99Us float64 `json:"baseline_p99_us"`
 	DuringP50Us   float64 `json:"during_p50_us"`
 	DuringP99Us   float64 `json:"during_p99_us"`
-	// RatioP99 = DuringP99Us / BaselineP99Us — the gate holds it ≤ 2.
+	// RatioP99 = DuringP99Us / BaselineP99Us — the gate holds it ≤ 2
+	// unless the two are less than 800 µs apart, and the p50s likewise
+	// within 2x or 200 µs.
 	RatioP99 float64 `json:"ratio_p99"`
 }
 
@@ -63,8 +65,9 @@ func usPercentile(sorted []float64, q float64) float64 {
 // benchmark (make bench-store-compact): it seeds a big state, forces a
 // throttled compaction pass that streams the whole snapshot over a
 // multi-second window, and measures single-op append latency while the
-// pass runs. The off-writer-path design's acceptance gate: p99 append
-// latency during compaction within 2x the no-compaction baseline —
+// pass runs. The off-writer-path design's acceptance gate: p50 and p99
+// append latency during compaction within 2x the no-compaction
+// baseline (or an absolute floor, see below) —
 // under the old design the full snapshot write ran under fs.mu and the
 // "during" p99 was the entire compaction duration. With
 // STORE_BENCH_OUT=<path> it scales up and records the run into that
@@ -180,15 +183,21 @@ func TestAppendLatencyDuringCompaction(t *testing.T) {
 	t.Logf("records=%d pass=%.0fms base p50/p99 = %.0f/%.0f us, during p50/p99 = %.0f/%.0f us (x%.2f, %d samples)",
 		records, passMs, baseP50, baseP99, durP50, durP99, ratio, len(during))
 
-	// The acceptance gate, with a small absolute floor so microsecond
-	// scheduler noise cannot flake a run whose baseline is tiny.
-	limit := 2 * baseP99
-	if floor := baseP99 + 1500; limit < floor {
-		limit = floor
+	// The acceptance gate: 2x the baseline at p50 and p99, with absolute
+	// floors so scheduler noise cannot flake a run whose baseline is
+	// tiny. The recorded run's floors sit above the widest gaps 18
+	// alternating runs of this tree and its parent read on a shared
+	// 2-core host (p99 +541 µs, p50 +17 µs), and far below a 1 ms stall
+	// per append. The quick run shares the host with every package
+	// under go test ./..., so it keeps a wide p99 floor and no p50 bound.
+	floor99, floor50 := 1500.0, math.Inf(1)
+	if out != "" {
+		floor99, floor50 = 800, 200
 	}
-	if durP99 > limit {
-		t.Fatalf("p99 append during compaction = %.0fus vs %.0fus baseline (x%.2f) — appends are stalling behind snapshot IO",
-			durP99, baseP99, ratio)
+	limit := func(base, floor float64) float64 { return max(2*base, base+floor) }
+	if durP99 > limit(baseP99, floor99) || durP50 > limit(baseP50, floor50) {
+		t.Fatalf("append during compaction p50/p99 = %.0f/%.0fus vs %.0f/%.0fus baseline (x%.2f at p99) — appends are stalling behind snapshot IO",
+			durP50, durP99, baseP50, baseP99, ratio)
 	}
 
 	if out == "" {

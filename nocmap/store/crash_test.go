@@ -55,6 +55,16 @@ func TestStoreCompactionCrash(t *testing.T) {
 			if len(first) < 16 {
 				t.Fatalf("recovered only %d jobs — the crash landed before the first compaction trigger", len(first))
 			}
+			// Each job holds its key's result, whichever line carried it.
+			snap, err := fs.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, j := range snap.Jobs {
+				if want := fmt.Sprintf(`{"key":%d,"pad":"0123456789abcdef0123456789abcdef"}`, i%8); string(j.Result) != want {
+					t.Fatalf("%s holds %s, want %s", j.ID, j.Result, want)
+				}
+			}
 			// Prefix property: exactly job-00000..job-(n-1), no holes, no
 			// duplicates from re-folding an already-compacted segment.
 			seen := make(map[int]bool, len(first))
@@ -123,6 +133,8 @@ func TestStoreCompactionCrashHelper(t *testing.T) {
 	}
 	// Distinct jobs never trip the op-count rule (ops == live records),
 	// so the byte trigger drives the rotation — a few KB per segment.
+	// Jobs share eight keys and each key's result, so most lines name
+	// a result the table took from an earlier segment or the snapshot.
 	fs, err := OpenConfig(dir, FileConfig{CompactOps: 1 << 30, CompactBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -148,11 +160,11 @@ func TestStoreCompactionCrashHelper(t *testing.T) {
 		}
 		rec := JobRecord{
 			ID:    fmt.Sprintf("job-%05d", i),
-			Key:   fmt.Sprintf("key-%05d", i),
+			Key:   fmt.Sprintf("key-%d", i%8),
 			State: StateDone,
 			Seq:   uint64(i + 1),
 			Result: json.RawMessage(
-				fmt.Sprintf(`{"round":%d,"pad":"0123456789abcdef0123456789abcdef"}`, i)),
+				fmt.Sprintf(`{"key":%d,"pad":"0123456789abcdef0123456789abcdef"}`, i%8)),
 		}
 		if err := Apply(fs, PutJob(rec)); err != nil {
 			t.Fatalf("append %d: %v", i, err)

@@ -20,4 +20,14 @@
 // An Op's JSON form is the store's one record format: each WAL line is
 // one Op, and a snapshot is a file of put ops, one per live record,
 // read back by the same replay as the WAL.
+//
+// A result is written once. The store keeps a result table, one
+// result per JobKey shared by every record and cache entry that holds
+// it; a line whose result is its key's entry names it by key
+// ("ref":true) instead of carrying it, and a snapshot line whose record
+// keeps a result of its own beside the table says so ("own":true).
+// Callers never see this: they
+// hand ApplyOps ops with their results, and Load returns every record
+// with its result. Stores written before the table load unchanged; a
+// store written with it cannot be read by an older version.
 package store

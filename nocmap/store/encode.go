@@ -84,7 +84,8 @@ func (e *recordEncoder) raw(m json.RawMessage) {
 	e.b = append(e.b, m...)
 }
 
-func (e *recordEncoder) job(r *JobRecord) {
+// job appends r, without its result when ref is set.
+func (e *recordEncoder) job(r *JobRecord, ref bool) {
 	e.b = append(e.b, `{"id":`...)
 	e.str(r.ID)
 	if r.Key != "" {
@@ -107,7 +108,7 @@ func (e *recordEncoder) job(r *JobRecord) {
 	if r.Coalesced {
 		e.b = append(e.b, `,"coalesced":true`...)
 	}
-	if len(r.Result) > 0 {
+	if len(r.Result) > 0 && !ref {
 		e.b = append(e.b, `,"result":`...)
 		e.raw(r.Result)
 	}
@@ -130,16 +131,18 @@ func (e *recordEncoder) job(r *JobRecord) {
 	e.b = append(e.b, '}')
 }
 
-// appendWALOp appends op as json.Marshal encodes it. Unless trusted
+// appendWALOp appends l as json.Marshal encodes it. Unless trusted
 // (see recordEncoder), raw fields must pass json.Valid: an op replay
-// cannot decode never reaches the WAL.
-func appendWALOp(dst []byte, op *Op, trusted bool) ([]byte, error) {
+// cannot decode never reaches the WAL. A reference line's result is
+// not written, so it is not validated either.
+func appendWALOp(dst []byte, l *line, trusted bool) ([]byte, error) {
 	e := recordEncoder{b: dst, ok: true, trusted: trusted}
+	op := &l.Op
 	e.b = append(e.b, `{"op":`...)
 	e.str(string(op.Kind))
 	if op.Rec != nil {
 		e.b = append(e.b, `,"job":`...)
-		e.job(op.Rec)
+		e.job(op.Rec, l.Ref)
 	}
 	if op.ID != "" {
 		e.b = append(e.b, `,"id":`...)
@@ -149,15 +152,31 @@ func appendWALOp(dst []byte, op *Op, trusted bool) ([]byte, error) {
 		e.b = append(e.b, `,"key":`...)
 		e.str(op.Key)
 	}
-	if len(op.Result) > 0 {
+	if len(op.Result) > 0 && !l.Ref {
 		e.b = append(e.b, `,"result":`...)
 		e.raw(op.Result)
+	}
+	if l.Ref {
+		e.b = append(e.b, `,"ref":true`...)
+	}
+	if l.Own {
+		e.b = append(e.b, `,"own":true`...)
 	}
 	e.b = append(e.b, '}')
 	if e.ok {
 		return e.b, nil
 	}
-	data, err := json.Marshal(op)
+	if l.Ref {
+		c := *l
+		if c.Rec != nil {
+			r := *c.Rec
+			r.Result = nil
+			c.Rec = &r
+		}
+		c.Result = nil
+		l = &c
+	}
+	data, err := json.Marshal(l)
 	if err != nil {
 		return dst, err
 	}

@@ -36,10 +36,11 @@ var walFuzzSeeds = []struct {
 }
 
 // FuzzWALEncoding checks the hand-written line encoder against
-// json.Marshal(Op) on both of its paths: the WAL append path, which
-// validates raw fields (the same bytes, or an error on both sides), and
-// the trusted path that writes snapshots of a memState (the same bytes
-// for every op a memState can hold).
+// json.Marshal on both of its paths, for each form a line takes (see
+// lineForms): the WAL append path, which validates the raw fields it
+// writes (the same bytes, or an error on both sides), and the trusted
+// path that writes snapshots of a memState (the same bytes for every
+// op a memState can hold).
 func FuzzWALEncoding(f *testing.F) {
 	for _, s := range walFuzzSeeds {
 		f.Add(s.op, s.id, s.key, s.state, s.origin, s.result, s.problem, s.errRaw, s.seq, s.hit, s.result == nil)
@@ -55,13 +56,15 @@ func FuzzWALEncoding(f *testing.F) {
 			{Kind: OpKind(opName), Key: key, Result: result},
 		}
 		for i := range ops {
-			got, gerr := appendWALOp([]byte("prefix"), &ops[i], false)
-			want, werr := json.Marshal(&ops[i])
-			if (gerr != nil) != (werr != nil) {
-				t.Fatalf("appendWALOp err = %v, json.Marshal err = %v", gerr, werr)
-			}
-			if werr == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
-				t.Fatalf("appendWALOp = %s\njson.Marshal = %s", got, want)
+			for _, l := range lineForms(ops[i]) {
+				got, gerr := appendWALOp([]byte("prefix"), &l, false)
+				want, werr := marshalLine(l)
+				if (gerr != nil) != (werr != nil) {
+					t.Fatalf("appendWALOp err = %v, json.Marshal err = %v", gerr, werr)
+				}
+				if werr == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
+					t.Fatalf("appendWALOp = %s\njson.Marshal = %s", got, want)
+				}
 			}
 		}
 		// A memState holds only raw values that are valid JSON (the
@@ -78,13 +81,36 @@ func FuzzWALEncoding(f *testing.F) {
 			{Kind: OpPutCache, Key: key, Result: result},
 		}
 		for i := range trusted {
-			got, gerr := appendWALOp(nil, &trusted[i], true)
-			want, werr := json.Marshal(&trusted[i])
-			if gerr != nil || werr != nil || !bytes.Equal(got, want) {
-				t.Fatalf("trusted appendWALOp = %s, %v\njson.Marshal = %s, %v", got, gerr, want, werr)
+			for _, l := range lineForms(trusted[i]) {
+				got, gerr := appendWALOp(nil, &l, true)
+				want, werr := marshalLine(l)
+				if gerr != nil || werr != nil || !bytes.Equal(got, want) {
+					t.Fatalf("trusted appendWALOp = %s, %v\njson.Marshal = %s, %v", got, gerr, want, werr)
+				}
 			}
 		}
 	})
+}
+
+// lineForms lists the forms a line of op takes: carrying its result
+// (the first write of a result, and any result that is not the table's
+// entry), naming it by key, and carrying it marked as the record's own.
+func lineForms(op Op) []line {
+	return []line{{Op: op}, {Op: op, Ref: true}, {Op: op, Own: true}}
+}
+
+// marshalLine is json.Marshal of l as appendWALOp must write it: a
+// reference line without its result.
+func marshalLine(l line) ([]byte, error) {
+	if l.Ref {
+		if l.Rec != nil {
+			r := *l.Rec
+			r.Result = nil
+			l.Rec = &r
+		}
+		l.Result = nil
+	}
+	return json.Marshal(&l)
 }
 
 // TestInvalidRawFieldRefused: a raw field that is not JSON never

@@ -68,7 +68,9 @@ type FileStore struct {
 	compactHook     func(step string)
 	compactThrottle func()
 
-	line []byte // WAL encode buffer, reused under mu
+	line []byte    // WAL encode buffer, reused under mu
+	refs []bool    // the batch's reference lines, reused under mu
+	plan batchPlan // the batch's view of the result table, reused under mu
 }
 
 // sealedState is what a rotation hands the compactor: the applied
@@ -79,7 +81,7 @@ type sealedState struct {
 	seq  uint64
 	ops  int
 	size int64
-	view []Op
+	view []line
 }
 
 const (
@@ -118,7 +120,8 @@ type FileConfig struct {
 // leaves the active segment open for appending and starts the
 // compactor goroutine. It refuses a directory holding a wal.jsonl or a
 // snapshot.json, the files of older store formats, rather than start
-// empty beside them.
+// empty beside them, and fails on a line that references a result the
+// result table lacks, naming the file.
 func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -277,14 +280,14 @@ func (fs *FileStore) writableLocked() error {
 // in the WAL but not in memory, so writes stop loudly (read-only)
 // instead of letting the two images drift apart silently. Callers hold
 // fs.mu and have already counted the op into activeOps/activeSize.
-func (fs *FileStore) applyLocked(op Op) error {
+func (fs *FileStore) applyLocked(l line) error {
 	err := func() error {
 		if fs.applyFault != nil {
-			if ferr := fs.applyFault(op); ferr != nil {
+			if ferr := fs.applyFault(l.Op); ferr != nil {
 				return ferr
 			}
 		}
-		return fs.state.apply(op)
+		return fs.state.apply(l)
 	}()
 	if err != nil {
 		fs.roCause = fmt.Sprintf("fsynced wal op failed to apply: %v", err)
@@ -297,8 +300,9 @@ func (fs *FileStore) applyLocked(op Op) error {
 // op in the batch is marshaled, written and fsynced as ONE WAL append —
 // the group commit that lets the server's flusher amortize fsync
 // latency over many transitions. Order inside the batch is the WAL
-// order. On a write or sync error the file is rolled back to the
-// pre-batch line boundary, so a failed batch leaves no partial ops
+// order. An op whose result will equal its key's result-table entry
+// when it applies is written as a reference, without the result bytes. On a write or sync error the file is rolled back
+// to the pre-batch line boundary, so a failed batch leaves no partial ops
 // behind and may be retried op by op; once the batch IS fsynced, it
 // applies whole — an op that then fails to apply flips the store
 // read-only (see applyLocked) instead of leaving the WAL silently ahead
@@ -313,18 +317,23 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	if err := fs.writableLocked(); err != nil {
 		return err
 	}
-	buf := fs.line[:0]
+	buf, refs := fs.line[:0], fs.refs[:0]
+	defer fs.plan.reset()
 	for i := range ops {
-		if err := ops[i].validate(); err != nil {
+		l := line{Op: ops[i]}
+		if err := l.validate(); err != nil {
 			return err // never fsync an op replay would choke on
 		}
+		l.Ref = fs.plan.decide(&fs.state, &l.Op, i == len(ops)-1)
 		var err error
-		if buf, err = appendWALOp(buf, &ops[i], false); err != nil {
+		if buf, err = appendWALOp(buf, &l, false); err != nil {
 			return fmt.Errorf("store: encoding wal op: %w", err)
 		}
 		buf = append(buf, '\n')
+		refs = append(refs, l.Ref)
 	}
 	fs.keepLine(buf)
+	fs.refs = refs
 	if _, err := fs.wal.Write(buf); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
 		// A short write (ENOSPC, I/O error) may have left a line
 		// fragment; roll the file back to the last whole line so a later
@@ -340,8 +349,8 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	fs.activeSize += int64(len(buf))
 	fs.activeOps += len(ops)
 	var firstErr error
-	for _, op := range ops {
-		if err := fs.applyLocked(op); err != nil && firstErr == nil {
+	for i, op := range ops {
+		if err := fs.applyLocked(line{Op: op, Ref: refs[i]}); err != nil && firstErr == nil {
 			// Keep applying the rest: the WAL holds the whole batch, so
 			// memory should carry everything it can before the store
 			// goes read-only on the divergence.
@@ -353,6 +362,73 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	}
 	fs.maybeCompactLocked() //nocmapvet:allow blockingunderlock segment rotation is metadata-only WAL-path IO under fs.mu by design; docs/STATIC_ANALYSIS.md#baselines
 	return nil
+}
+
+// batchPlan is a batch's view of the result table while ApplyOps
+// encodes it: the entries and record slots the batch's earlier ops
+// touched, as they will be once those ops apply. It lets each op be
+// decided against the state it will meet, while nothing in memory
+// changes before the fsync.
+type batchPlan struct {
+	entries map[string]resultEntry // by key; refs 0: the key has no entry
+	slots   map[planSlot]string    // the key a slot's record will share, or ""
+}
+
+type planSlot struct {
+	ns   OpKind
+	name string
+}
+
+func (p *batchPlan) entry(s *memState, key string) resultEntry {
+	if e, ok := p.entries[key]; ok {
+		return e
+	}
+	if e := s.results[key]; e != nil {
+		return *e
+	}
+	return resultEntry{}
+}
+
+// decide reports whether op's line may name its result by key: whether
+// its result will, when it applies, equal its key's table entry. Unless
+// op is the batch's last, it then records what applying op changes.
+func (p *batchPlan) decide(s *memState, op *Op, last bool) (ref bool) {
+	key, res, ok := op.result()
+	ok = ok && len(res) > 0
+	e := p.entry(s, key)
+	ref = ok && e.refs > 0 && sameResult(e.raw, res)
+	if last {
+		return ref
+	}
+	if p.slots == nil {
+		p.entries, p.slots = make(map[string]resultEntry), make(map[planSlot]string)
+	}
+	ns, name := op.slot()
+	slot := planSlot{ns, name}
+	old, seen := p.slots[slot]
+	if k, r := s.held(ns, name); !seen && s.shares(k, r) {
+		old = k
+	}
+	p.slots[slot] = ""
+	if ok && (ref || e.refs == 0) {
+		if e.refs == 0 {
+			e.raw = res
+		}
+		e.refs++
+		p.entries[key] = e
+		p.slots[slot] = key
+	}
+	if old != "" {
+		oe := p.entry(s, old)
+		oe.refs--
+		p.entries[old] = oe
+	}
+	return ref
+}
+
+func (p *batchPlan) reset() {
+	clear(p.entries)
+	clear(p.slots)
 }
 
 // keepLine holds on to an encode buffer for the next append, unless a

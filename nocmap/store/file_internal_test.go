@@ -133,9 +133,11 @@ func TestByteSizeTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	big := `{"blob":"` + strings.Repeat("x", 16<<10) + `"}`
+	// Each round's result differs: an equal one would be written once
+	// and referenced by key after that (see memState).
+	big := `"` + strings.Repeat("x", 16<<10) + `"`
 	for i := 0; i < 8; i++ {
-		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), big))); err != nil {
+		if err := Apply(fs, PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d,"blob":%s}`, i, big)))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -29,7 +31,7 @@ func (m *MemStore) ApplyOps(ops []Op) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, op := range ops {
-		if err := m.state.apply(op); err != nil {
+		if err := m.state.apply(line{Op: op}); err != nil {
 			return err
 		}
 	}
@@ -50,10 +52,46 @@ func (m *MemStore) Close() error { return nil }
 // snapshot+WAL on disk. Records are never mutated in place — a put
 // stores a fresh copy — so a view's pointers stay valid after the
 // state moves on. The zero value is an empty state.
+//
+// results is the result table: one result per JobKey, shared by every
+// record and cache entry that holds it, so a result is kept (and
+// written to disk) once however many jobs answered with it. Its rule,
+// which replay applies line for line as the write path does: a put
+// whose result may be shared (see Op.result) shares its key's entry
+// when the bytes are equal, creates the entry when the key has none,
+// and otherwise keeps its own copy, which never replaces the entry. An
+// entry lives while any record or cache entry shares it; whether one
+// does is told by slice identity with the entry.
 type memState struct {
 	jobs, replicas table[*JobRecord]
 	cache          table[json.RawMessage]
+	results        map[string]*resultEntry
+	views          uint64 // view() calls, for resultEntry.mark
 }
+
+// resultEntry is one result in the table, with the number of records
+// and cache entries that share it. mark is the view() call that last
+// listed a sharer of it, so each view writes the result once.
+type resultEntry struct {
+	raw  json.RawMessage
+	refs int
+	mark uint64
+}
+
+// errUnknownResult is the corruption a line naming a result the table
+// lacks reports.
+var errUnknownResult = errors.New("reference to a result the table lacks")
+
+// sameSlice reports whether a and b are the same non-empty slice: how
+// a record is told to share its key's table entry.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// sameResult reports whether two results are equal, looking first for
+// the same slice: the server hands the store one slice for a cache
+// entry and every record answered from it.
+func sameResult(a, b []byte) bool { return sameSlice(a, b) || bytes.Equal(a, b) }
 
 // table is one namespace of a memState: the latest value put for each
 // name, listed in the order the names were first put. A re-put replaces
@@ -79,23 +117,29 @@ func (t *table[V]) del(name string) {
 		return
 	}
 	delete(t.m, name)
-	i := slices.Index(t.order, name)
-	t.order = slices.Delete(t.order, i, i+1)
+	// Retention and the LRU delete the oldest name: drop it by
+	// re-slicing, not by moving every later name down one.
+	if i := slices.Index(t.order, name); i == 0 {
+		t.order[0] = ""
+		t.order = t.order[1:]
+	} else {
+		t.order = slices.Delete(t.order, i, i+1)
+	}
 }
 
-// appendTo appends to dst, in order, the put op that op builds for each
-// entry.
-func (t *table[V]) appendTo(dst []Op, op func(name string, v V) Op) []Op {
+// appendTo appends to dst, in order, the line l builds for each entry.
+func (t *table[V]) appendTo(dst []line, l func(name string, v V) line) []line {
 	for _, name := range t.order {
-		dst = append(dst, op(name, t.m[name]))
+		dst = append(dst, l(name, t.m[name]))
 	}
 	return dst
 }
 
-// validate rejects malformed operations before they reach the WAL or
-// the state: an invalid op must never be fsynced to disk, where it
-// would poison every subsequent replay.
-func (op *Op) validate() error {
+// validate rejects malformed lines before they reach the WAL or the
+// state: an invalid op must never be fsynced to disk, where it would
+// poison every subsequent replay.
+func (l *line) validate() error {
+	op := &l.Op
 	switch op.Kind {
 	case OpPutJob, OpPutReplica:
 		if op.Rec == nil || op.Rec.ID == "" {
@@ -109,31 +153,105 @@ func (op *Op) validate() error {
 	default:
 		return fmt.Errorf("store: unknown wal op %q", op.Kind)
 	}
+	if l.Ref {
+		if _, _, ok := op.result(); !ok || l.Own {
+			return fmt.Errorf("store: %s op cannot reference a result", op.Kind)
+		}
+	}
 	return nil
 }
 
-// apply folds one op into the state. A put keeps a copy of what it
-// needs, so callers may reuse their buffers.
-func (s *memState) apply(op Op) error {
-	if err := op.validate(); err != nil {
+// held returns the key and result of the record in a slot (see
+// Op.slot), or zero values when the slot is empty.
+func (s *memState) held(ns OpKind, name string) (key string, res json.RawMessage) {
+	if ns == OpPutCache {
+		return name, s.cache.m[name]
+	}
+	if r := s.records(ns).m[name]; r != nil {
+		return r.Key, r.Result
+	}
+	return "", nil
+}
+
+func (s *memState) records(ns OpKind) *table[*JobRecord] {
+	if ns == OpPutReplica {
+		return &s.replicas
+	}
+	return &s.jobs
+}
+
+// shares reports whether a result held under key is its table entry.
+func (s *memState) shares(key string, res json.RawMessage) bool {
+	e := s.results[key]
+	return e != nil && sameSlice(e.raw, res)
+}
+
+// hold returns the result a put line stores, by the table's rule (see
+// memState), counting the share.
+func (s *memState) hold(l *line) (json.RawMessage, error) {
+	key, res, ok := l.result()
+	e := s.results[key]
+	switch {
+	case l.Ref:
+		if e == nil {
+			return nil, fmt.Errorf("store: %w: key %q", errUnknownResult, key)
+		}
+	case !ok || l.Own || len(res) == 0:
+		return rawCopy(res), nil
+	case e == nil:
+		e = &resultEntry{raw: rawCopy(res)}
+		if s.results == nil {
+			s.results = make(map[string]*resultEntry)
+		}
+		s.results[key] = e
+	case !sameResult(e.raw, res):
+		return rawCopy(res), nil
+	}
+	e.refs++
+	return e.raw, nil
+}
+
+// release drops one share of key's entry, if res is it, and the entry
+// with its last share.
+func (s *memState) release(key string, res json.RawMessage) {
+	if e := s.results[key]; e != nil && sameSlice(e.raw, res) {
+		if e.refs--; e.refs == 0 {
+			delete(s.results, key)
+		}
+	}
+}
+
+// apply folds one line into the state. A put keeps a copy of what it
+// needs, so callers may reuse their buffers; a shared result is the
+// table's copy.
+func (s *memState) apply(l line) error {
+	if err := l.validate(); err != nil {
 		return err
 	}
-	switch op.Kind {
-	case OpPutJob:
-		rec := copyRecord(*op.Rec)
-		s.jobs.put(rec.ID, &rec)
-	case OpPutReplica:
-		rec := copyRecord(*op.Rec)
-		s.replicas.put(rec.ID, &rec)
+	ns, name := l.slot()
+	oldKey, oldRes := s.held(ns, name)
+	switch l.Kind {
+	case OpPutJob, OpPutReplica:
+		res, err := s.hold(&l)
+		if err != nil {
+			return err
+		}
+		rec := *l.Rec
+		rec.Problem, rec.Spec, rec.Error = rawCopy(rec.Problem), rawCopy(rec.Spec), rawCopy(rec.Error)
+		rec.Result = res
+		s.records(ns).put(name, &rec)
 	case OpPutCache:
-		s.cache.put(op.Key, rawCopy(op.Result))
-	case OpDeleteJob:
-		s.jobs.del(op.ID)
+		res, err := s.hold(&l)
+		if err != nil {
+			return err
+		}
+		s.cache.put(name, res)
+	case OpDeleteJob, OpDeleteReplica:
+		s.records(ns).del(name)
 	case OpDeleteCache:
-		s.cache.del(op.Key)
-	case OpDeleteReplica:
-		s.replicas.del(op.ID)
+		s.cache.del(name)
 	}
+	s.release(oldKey, oldRes)
 	return nil
 }
 
@@ -142,27 +260,48 @@ func (s *memState) len() int {
 	return len(s.jobs.order) + len(s.cache.order) + len(s.replicas.order)
 }
 
-// view lists the put ops that rebuild the state — jobs, then cache,
+// view lists the put lines that rebuild the state — jobs, then cache,
 // then replicas — sharing their records instead of copying them. It is
-// what a snapshot file holds, one line per op.
-func (s *memState) view() []Op {
-	v := make([]Op, 0, s.len())
-	v = s.jobs.appendTo(v, func(_ string, r *JobRecord) Op { return Op{Kind: OpPutJob, Rec: r} })
-	v = s.cache.appendTo(v, func(k string, r json.RawMessage) Op { return Op{Kind: OpPutCache, Key: k, Result: r} })
-	return s.replicas.appendTo(v, func(_ string, r *JobRecord) Op { return Op{Kind: OpPutReplica, Rec: r} })
+// what a snapshot file holds, one line per op: the first sharer of each
+// table entry carries the result, so it comes ahead of the lines that
+// reference it.
+func (s *memState) view() []line {
+	s.views++
+	v := make([]line, 0, s.len())
+	v = s.jobs.appendTo(v, func(_ string, r *JobRecord) line { return s.viewLine(Op{Kind: OpPutJob, Rec: r}) })
+	v = s.cache.appendTo(v, func(k string, r json.RawMessage) line { return s.viewLine(Op{Kind: OpPutCache, Key: k, Result: r}) })
+	return s.replicas.appendTo(v, func(_ string, r *JobRecord) line { return s.viewLine(Op{Kind: OpPutReplica, Rec: r}) })
+}
+
+// viewLine is the view's line for one put op: a reference for a sharer
+// after the view's first, Own for a record that could share but keeps
+// its own result.
+func (s *memState) viewLine(op Op) line {
+	l := line{Op: op}
+	key, res, ok := op.result()
+	if !ok || len(res) == 0 {
+		return l
+	}
+	if e := s.results[key]; e != nil && sameSlice(e.raw, res) {
+		l.Ref = e.mark == s.views
+		e.mark = s.views
+	} else {
+		l.Own = true
+	}
+	return l
 }
 
 // snapshot returns a deep copy of the state for Load.
 func (s *memState) snapshot() *Snapshot {
 	snap := &Snapshot{}
-	for _, op := range s.view() {
-		switch op.Kind {
+	for _, l := range s.view() {
+		switch l.Kind {
 		case OpPutJob:
-			snap.Jobs = append(snap.Jobs, copyRecord(*op.Rec))
+			snap.Jobs = append(snap.Jobs, copyRecord(*l.Rec))
 		case OpPutCache:
-			snap.Cache = append(snap.Cache, CacheEntry{Key: op.Key, Result: rawCopy(op.Result)})
+			snap.Cache = append(snap.Cache, CacheEntry{Key: l.Key, Result: rawCopy(l.Result)})
 		case OpPutReplica:
-			snap.Replicas = append(snap.Replicas, copyRecord(*op.Rec))
+			snap.Replicas = append(snap.Replicas, copyRecord(*l.Rec))
 		}
 	}
 	return snap

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -124,34 +125,37 @@ func replaySegment(path string, state *memState, active bool) (ops int, good int
 
 	r := bufio.NewReaderSize(f, 64<<10) // no line-length cap: ReadBytes grows
 	for {
-		line, rerr := r.ReadBytes('\n')
+		text, rerr := r.ReadBytes('\n')
 		if rerr == io.EOF {
-			if len(bytes.TrimSpace(line)) > 0 {
+			if len(bytes.TrimSpace(text)) > 0 {
 				if !active {
 					return ops, good, fmt.Errorf("store: %s ends mid-line (not the active wal tail)", filepath.Base(path))
 				}
 				return ops, good, nil // unterminated tail: torn mid-append
 			}
-			good += int64(len(line))
+			good += int64(len(text))
 			return ops, good, nil
 		}
 		if rerr != nil {
 			return ops, good, fmt.Errorf("store: reading %s: %w", filepath.Base(path), rerr)
 		}
-		advance := int64(len(line))
-		if len(bytes.TrimSpace(line)) == 0 {
+		advance := int64(len(text))
+		if len(bytes.TrimSpace(text)) == 0 {
 			good += advance
 			continue
 		}
-		var op Op
-		if uerr := json.Unmarshal(line, &op); uerr != nil {
+		var l line
+		if uerr := json.Unmarshal(text, &l); uerr != nil {
 			if _, peekErr := r.Peek(1); peekErr == io.EOF && active {
 				return ops, good, nil // torn final line
 			}
 			return ops, good, fmt.Errorf("store: corrupt wal line at %s offset %d (not the torn tail): %w", filepath.Base(path), good, uerr)
 		}
-		if aerr := state.apply(op); aerr != nil {
-			if _, peekErr := r.Peek(1); peekErr == io.EOF && active {
+		if aerr := state.apply(l); aerr != nil {
+			// A whole line naming a result the table lacks is no torn
+			// write, wherever it is: never load a record without its
+			// result.
+			if _, peekErr := r.Peek(1); peekErr == io.EOF && active && !errors.Is(aerr, errUnknownResult) {
 				return ops, good, nil
 			}
 			return ops, good, fmt.Errorf("store: invalid wal op at %s offset %d (not the torn tail): %w", filepath.Base(path), good, aerr)
@@ -161,13 +165,13 @@ func replaySegment(path string, state *memState, active bool) (ops int, good int
 	}
 }
 
-// writeSnapshot writes ops to path (created fresh) as WAL lines, one
-// op in memory at a time, then fsyncs and closes it. The ops come out
-// of a memState, so their raw fields are trusted (see recordEncoder).
-// throttle, when non-nil, is called once per op: the compactor paces
-// the encode with it, and the bench and crash suites stretch a
-// compaction over a controlled wall-clock window.
-func writeSnapshot(path string, ops []Op, throttle func()) error {
+// writeSnapshot writes lines to path (created fresh), one in memory at
+// a time, then fsyncs and closes it. The lines come out of a memState,
+// so their raw fields are trusted (see recordEncoder). throttle, when
+// non-nil, is called once per line: the compactor paces the encode
+// with it, and the bench and crash suites stretch a compaction over a
+// controlled wall-clock window.
+func writeSnapshot(path string, lines []line, throttle func()) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot: %w", err)
@@ -175,13 +179,13 @@ func writeSnapshot(path string, ops []Op, throttle func()) error {
 	// bufio.Writer errors are sticky: checking each line's Write (to
 	// stop early) and the final Flush covers every write.
 	w := bufio.NewWriterSize(f, 256<<10)
-	var line []byte
-	for i := range ops {
-		if line, err = appendWALOp(line[:0], &ops[i], true); err != nil {
+	var buf []byte
+	for i := range lines {
+		if buf, err = appendWALOp(buf[:0], &lines[i], true); err != nil {
 			break
 		}
-		line = append(line, '\n')
-		if _, err = w.Write(line); err != nil {
+		buf = append(buf, '\n')
+		if _, err = w.Write(buf); err != nil {
 			break
 		}
 		if throttle != nil {

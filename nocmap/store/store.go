@@ -76,7 +76,8 @@ type CacheEntry struct {
 // namespace — records this instance holds on behalf of its ring
 // predecessor, kept apart from its own jobs so replication survives
 // follower restarts too. Each list is in the order its IDs or keys
-// were first put; a re-put does not move an entry.
+// were first put; a re-put does not move an entry. Every record and
+// cache entry carries its result, however the store wrote it.
 type Snapshot struct {
 	Jobs     []JobRecord  `json:"jobs"`
 	Cache    []CacheEntry `json:"cache"`
@@ -122,13 +123,57 @@ const (
 // Op is one store mutation, and its JSON form is one line of the WAL
 // and of a snapshot. Exactly the fields the Kind needs are set: Rec for
 // puts of job/replica records, ID for job/replica deletes, Key (and
-// Result for puts) for cache operations.
+// Result for puts) for cache operations. A line may leave the result
+// out and add "ref":true, naming its key's entry in the store's result
+// table instead, or add "own":true (see the package doc).
 type Op struct {
 	Kind   OpKind          `json:"op"`
 	Rec    *JobRecord      `json:"job,omitempty"`
 	ID     string          `json:"id,omitempty"`
 	Key    string          `json:"key,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
+}
+
+// line is one line of the WAL or of a snapshot: an op, and how its
+// result stands to the store's result table (see memState). A line
+// with neither flag carries its result, if any, and applies by the
+// table's rule; so did every line of older stores.
+type line struct {
+	Op
+	// Ref: the result is not written; it is the table's entry for the
+	// op's key, which must exist.
+	Ref bool `json:"ref,omitempty"`
+	// Own: the result is the record's own even where it could share
+	// the table's entry. Only snapshots write it.
+	Own bool `json:"own,omitempty"`
+}
+
+// result returns the key and result a put op stores, and whether that
+// result may enter or share the result table: only a done record's or
+// a cache entry's, under a key. A cancelled job's partial result, for
+// one, is always its own.
+func (op *Op) result() (key string, res json.RawMessage, shareable bool) {
+	switch op.Kind {
+	case OpPutJob, OpPutReplica:
+		key, res, shareable = op.Rec.Key, op.Rec.Result, op.Rec.State == StateDone
+	case OpPutCache:
+		key, res, shareable = op.Key, op.Result, true
+	}
+	return key, res, shareable && key != ""
+}
+
+// slot names the record an op puts or deletes: its namespace, given
+// as that namespace's put kind, and its ID or cache key.
+func (op *Op) slot() (ns OpKind, name string) {
+	switch op.Kind {
+	case OpPutJob, OpPutReplica:
+		return op.Kind, op.Rec.ID
+	case OpDeleteJob:
+		return OpPutJob, op.ID
+	case OpDeleteReplica:
+		return OpPutReplica, op.ID
+	}
+	return OpPutCache, op.Key
 }
 
 // rawCopy deep-copies a raw message so callers may reuse their buffers.
