@@ -23,9 +23,9 @@ race:
 	$(GO) test -race ./nocmap/ ./nocmap/server/ ./nocmap/client/ ./nocmap/shard/ ./nocmap/store/ ./nocmap/httpfault/
 
 # Short deterministic-budget fuzz pass over the wire formats, the
-# request decoder, the submit memo and the hand-written JobStatus and
-# WAL encoders (seed corpora live in testdata/fuzz/ and the targets'
-# f.Add calls). CI runs this; drop the -fuzztime for a real fuzzing
+# request decoder, the submit memo, the fleet's record batches and the
+# hand-written JobStatus and WAL encoders (seed corpora live in
+# testdata/fuzz/ and the targets' f.Add calls). CI runs this; drop the -fuzztime for a real fuzzing
 # session.
 FUZZTIME = 10s
 fuzz-smoke:
@@ -34,6 +34,7 @@ fuzz-smoke:
 	$(GO) test ./nocmap/server -run '^$$' -fuzz FuzzParseSubmit -fuzztime $(FUZZTIME)
 	$(GO) test ./nocmap/server -run '^$$' -fuzz FuzzSubmitTwice -fuzztime $(FUZZTIME)
 	$(GO) test ./nocmap/server -run '^$$' -fuzz FuzzJobStatusEncoding -fuzztime $(FUZZTIME)
+	$(GO) test ./nocmap/server -run '^$$' -fuzz FuzzRecordBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./nocmap/store -run '^$$' -fuzz FuzzWALEncoding -fuzztime $(FUZZTIME)
 
 # Integration-coverage census (docs/CENSUS.md): cover-built nocmapd and

@@ -64,14 +64,13 @@ func (c *resultCache) add(key string, result json.RawMessage) {
 
 func (c *resultCache) len() int { return c.order.Len() }
 
-// entries snapshots the cache oldest-first — the order a receiver
-// should re-add them in so recency survives a transfer. It feeds the
-// GET /v1/records migration/anti-entropy payload.
-func (c *resultCache) entries() []store.CacheEntry {
-	out := make([]store.CacheEntry, 0, c.order.Len())
+// appendOps appends a cache op per entry, oldest first — the order a
+// receiver should re-add them in so recency survives a transfer. It
+// feeds the GET /v1/records migration/anti-entropy batch.
+func (c *resultCache) appendOps(ops []store.Op) []store.Op {
 	for el := c.order.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*cacheEntry)
-		out = append(out, store.CacheEntry{Key: e.key, Result: e.result})
+		ops = append(ops, store.Op{Kind: store.OpPutCache, Key: e.key, Result: e.result})
 	}
-	return out
+	return ops
 }

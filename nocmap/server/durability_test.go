@@ -220,19 +220,23 @@ func TestWatermarkRegressionTriggersResend(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
-		var req server.ReplicateRequest
+		var req server.RecordBatch
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		mu.Lock()
-		for _, rec := range req.Records {
+		for _, op := range req.Ops {
+			rec := op.Rec
+			if rec == nil {
+				continue // a deletion
+			}
 			seen[rec.ID]++
 			if store.Terminal(rec.State) && rec.Seq > high {
 				high = rec.Seq
 			}
 		}
-		resp := server.ReplicateResponse{Applied: len(req.Records) + len(req.Deletes), HighSeq: high}
+		resp := server.ReplicateResponse{Applied: len(req.Ops), HighSeq: high}
 		if regress {
 			// Simulate a restart from an empty store: everything acked so
 			// far is gone, and this response is the first the reborn

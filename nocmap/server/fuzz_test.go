@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/nocmap/server"
+	"repro/nocmap/store"
 )
 
 // FuzzParseSubmit hammers the request-decoding front door shared by the
@@ -126,6 +127,57 @@ func FuzzSubmitTwice(f *testing.F) {
 			if !bytes.Equal(a, b) {
 				t.Fatalf("repeat %d answered\n%s\nwant\n%s\n(input %q)", i, a, b, data)
 			}
+		}
+	})
+}
+
+// FuzzRecordBatch sends any body to POST /v1/replicate and
+// POST /v1/reconcile of a fresh in-process server: each must answer 200
+// or a typed 400 bad_request, never panic. Ops are store.Ops, so a body
+// can name any kind, leave a job op's record out, or leave a record's
+// fields empty. Promoting the body's origin afterwards and listing the
+// records must answer 200 as well.
+func FuzzRecordBatch(f *testing.F) {
+	f.Add([]byte(`{"origin":"p0-","ops":[{"op":"job","job":{"id":"p0-job-00000001","key":"k1",` +
+		`"state":"done","result":{"n":1},"seq":1}},{"op":"deljob","id":"p0-job-00000002"}]}`))
+	f.Add([]byte(`{"origin":"p0-","ops":[{"op":"job","job":{"id":"p0-job-00000003","state":"queued",` +
+		`"problem":{"app":{"edges":[{"from":"a","to":"b","bw":100}]},` +
+		`"topology":{"kind":"mesh","w":2,"h":2,"link_bw":1000}}}},{"op":"cache","key":"k2","result":[1, 2]}]}`))
+	f.Add([]byte(`{"ops":[{"op":"job"}]}`))
+	f.Add([]byte(`{"ops":[{"op":"delreplica","id":"p0-job-00000001"}]}`))
+	f.Add([]byte(`{"ops":[{"op":"cache","key":""},{"op":"job","job":{"id":"","state":"done"}}]}`))
+	f.Add([]byte(`{"ops":null}`))
+	f.Add([]byte(`{"ops":[{"op":"job","job":{"id":"p0-job-1","state":"done"},"ref":true}]}`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		svc, err := server.New(server.Config{Pool: 1, QueueSize: 4, CacheSize: 4, IDPrefix: "p1-",
+			Store: store.NewMemStore()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		h := svc.Handler()
+		send := func(method, path string, body []byte) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+			if rec.Code == http.StatusOK {
+				return
+			}
+			if rec.Code != http.StatusBadRequest || errCode(t, rec.Body.Bytes()) != server.CodeBadRequest {
+				t.Fatalf("%s %s answered %d %s (input %q)", method, path, rec.Code, rec.Body, data)
+			}
+		}
+		send(http.MethodPost, "/v1/replicate", data)
+		send(http.MethodPost, "/v1/reconcile", data)
+		var batch server.RecordBatch
+		if json.Unmarshal(data, &batch) == nil {
+			origin, _ := json.Marshal(server.PromoteRequest{Origin: batch.Origin})
+			send(http.MethodPost, "/v1/promote", origin)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/records", nil))
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &batch) != nil {
+			t.Fatalf("GET /v1/records answered %d %s (input %q)", rec.Code, rec.Body, data)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -121,7 +120,15 @@ const MaxBodyBytes = 64 << 20
 // the shard router share it so the edge and the backend can never
 // disagree on the cap or its error shape.
 func ReadSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, *SubmitError) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	// A declared Content-Length sizes the buffer once, up to 1 MiB, and
+	// one past the cap is refused unread; a chunked body (length -1)
+	// grows its buffer as it reads.
+	var buf bytes.Buffer
+	var err error = errBodyTooLarge
+	if r.ContentLength <= MaxBodyBytes {
+		buf.Grow(int(min(max(r.ContentLength, 0), 1<<20)) + bytes.MinRead)
+		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	}
 	if err != nil {
 		serr := &SubmitError{Status: http.StatusBadRequest,
 			Payload: &ErrorPayload{Code: CodeBadRequest, Message: "reading request body: " + err.Error()}}
@@ -132,8 +139,11 @@ func ReadSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, *SubmitErro
 		}
 		return nil, serr
 	}
-	return body, nil
+	return buf.Bytes(), nil
 }
+
+// errBodyTooLarge is what reading a body past MaxBodyBytes returns.
+var errBodyTooLarge = &http.MaxBytesError{Limit: MaxBodyBytes}
 
 // acceptSubmit reads a submission body and admits it as a job. A body
 // the memo knows is answered from the result cache without being

@@ -259,7 +259,7 @@ func TestMemoSkipsEmptyCacheEntry(t *testing.T) {
 	hit, _ := decodeStatus(t, postTo(h, "/v1/solve", body).Body.Bytes())
 	markMemo(t, s, body)
 	postTo(h, "/v1/solve", tinyBody("empty-entry-evictor", ""))
-	if rec := postTo(h, "/v1/reconcile", []byte(`{"cache":[{"key":"`+hit.Key+`"}]}`)); rec.Code != http.StatusOK {
+	if rec := postTo(h, "/v1/reconcile", []byte(`{"ops":[{"op":"cache","key":"`+hit.Key+`"}]}`)); rec.Code != http.StatusOK {
 		t.Fatalf("reconcile answered %d %s", rec.Code, rec.Body)
 	}
 	st, _ := decodeStatus(t, postTo(h, "/v1/solve", body).Body.Bytes())

@@ -12,20 +12,21 @@ import (
 	"repro/nocmap/store"
 )
 
-// recordOf flattens a job into its persisted form. Terminal records
+// jobOp flattens a job into the op that puts its record, the form the
+// store, replication and GET /v1/records all take. Terminal records
 // carry the outcome but drop the problem and spec — replay never
-// re-runs them, and the terminal PutJob overwrites the queued record,
-// so keeping them would only re-write the full canonical problem JSON
+// re-runs them, and the terminal put overwrites the queued record, so
+// keeping them would only re-write the full canonical problem JSON
 // into the WAL a second time. Callers hold s.mu.
-func (s *Server) recordOf(j *job, seq uint64) store.JobRecord {
-	rec := store.JobRecord{
+func (s *Server) jobOp(j *job) store.Op {
+	rec := &store.JobRecord{
 		ID:        j.id,
 		Key:       j.key,
 		State:     j.state,
 		CacheHit:  j.cacheHit,
 		Coalesced: j.coalesced,
 		Result:    j.result,
-		Seq:       seq,
+		Seq:       j.seq,
 		Minted:    s.nextID, // ID-counter highwater; see store.JobRecord.Minted
 	}
 	if j.errPay != nil {
@@ -39,7 +40,7 @@ func (s *Server) recordOf(j *job, seq uint64) store.JobRecord {
 			rec.Spec = raw
 		}
 	}
-	return rec
+	return store.Op{Kind: store.OpPutJob, Rec: rec}
 }
 
 // persistJob mirrors a job's current state everywhere it needs to
@@ -50,14 +51,11 @@ func (s *Server) recordOf(j *job, seq uint64) store.JobRecord {
 // from memory, so store faults cannot poison it). Neither path blocks:
 // the record becomes durable when the flusher's batch carrying it is
 // fsynced, which is what syncStore and the durability classes wait on.
-// Callers hold s.mu.
+// Both share one op: neither writes to its record. Callers hold s.mu.
 func (s *Server) persistJob(j *job) {
-	rec := s.recordOf(j, j.seq)
-	if s.cfg.Store != nil {
-		r := rec
-		s.enqueueOpLocked(store.Op{Kind: store.OpPutJob, Rec: &r})
-	}
-	s.rep.enqueue(rec)
+	op := s.jobOp(j)
+	s.enqueueOpLocked(op)
+	s.rep.enqueue(op)
 }
 
 // persistCachePut mirrors a result-cache insert into the store. With
@@ -78,19 +76,21 @@ func (s *Server) persistCachePut(key string, result json.RawMessage) {
 // dozens of jobs in one critical section lands as one batched flush,
 // not dozens of fsyncs. Callers hold s.mu.
 func (s *Server) dropPersistedJob(id string) {
-	s.enqueueOpLocked(store.Op{Kind: store.OpDeleteJob, ID: id})
-	s.rep.enqueueDelete(id)
+	op := store.Op{Kind: store.OpDeleteJob, ID: id}
+	s.enqueueOpLocked(op)
+	s.rep.enqueue(op)
 }
 
-// dropReplicaLocked forgets one replica record (memory and store).
-// Callers hold s.mu.
-func (s *Server) dropReplicaLocked(id string) {
+// dropReplicaLocked forgets one replica record (memory and store) and
+// reports whether there was one. Callers hold s.mu.
+func (s *Server) dropReplicaLocked(id string) bool {
 	if _, ok := s.replicas[id]; !ok {
-		return
+		return false
 	}
 	delete(s.replicas, id)
 	delete(s.replicaDirty, id)
 	s.enqueueOpLocked(store.Op{Kind: store.OpDeleteReplica, ID: id})
+	return true
 }
 
 // replay loads the configured store and rebuilds the pre-restart world:

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"cmp"
+	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,18 +41,20 @@ import (
 // follower restarted from a younger store — re-seeds every record above
 // it, so the stream self-heals without a target change.
 
-// ReplicateRequest is the body of POST /v1/replicate: a batch of job
-// records from one origin, plus IDs whose records the origin's
-// retention evicted (deletes must replicate too, or promotion could
-// resurrect a job the primary already let go). Application is
-// idempotent per record: a replica already terminal is only overwritten
-// by a record with a strictly higher terminal seq from the same origin.
-type ReplicateRequest struct {
-	// Origin is the sender's job-ID prefix; promotion selects replicas
-	// to adopt by it.
-	Origin  string            `json:"origin"`
-	Records []store.JobRecord `json:"records,omitempty"`
-	Deletes []string          `json:"deletes,omitempty"`
+// RecordBatch is the one form job records cross the fleet in: the
+// body of POST /v1/replicate and POST /v1/reconcile, and the answer of
+// GET /v1/records. Each op's JSON is a line of the store's WAL. A
+// replicate batch carries job and deljob ops: a record's latest state,
+// or the deletion of one the origin's retention evicted (deletes must
+// replicate too, or promotion could resurrect a job the primary
+// already let go). A records or reconcile batch carries job and cache
+// ops. An endpoint answers 400 bad_request and applies nothing when an
+// op has a kind it does not take or is a job op without its record.
+type RecordBatch struct {
+	// Origin is a replicate batch's sender, its job-ID prefix;
+	// promotion selects replicas to adopt by it.
+	Origin string     `json:"origin,omitempty"`
+	Ops    []store.Op `json:"ops"`
 }
 
 // ReplicateResponse reports how many batch entries were applied
@@ -65,19 +68,6 @@ type ReplicateRequest struct {
 type ReplicateResponse struct {
 	Applied int    `json:"applied"`
 	HighSeq uint64 `json:"high_seq"`
-}
-
-// ReconcileRequest is the body of POST /v1/reconcile: job records (and
-// warm cache entries) this instance should adopt. Anti-entropy after a
-// failover and join/leave key-range migration both ride it. Adoption is
-// terminal-beats-live: a terminal incoming record overrides a local
-// queued/running job with the same ID (the local run is cancelled and
-// the replicated outcome installed byte-identical); a terminal local
-// job is never overwritten; a live incoming record for an unknown ID is
-// re-enqueued under its original ID.
-type ReconcileRequest struct {
-	Records []store.JobRecord  `json:"records,omitempty"`
-	Cache   []store.CacheEntry `json:"cache,omitempty"`
 }
 
 // ReconcileResponse reports how many records and cache entries were
@@ -96,15 +86,6 @@ type PromoteRequest struct {
 // PromoteResponse reports how many replicas were promoted.
 type PromoteResponse struct {
 	Promoted int `json:"promoted"`
-}
-
-// RecordsResponse is the GET /v1/records answer: this instance's own
-// job records (optionally filtered by ID prefix) plus its result-cache
-// entries — the transfer format for anti-entropy sweeps and key-range
-// migration.
-type RecordsResponse struct {
-	Records []store.JobRecord  `json:"records"`
-	Cache   []store.CacheEntry `json:"cache,omitempty"`
 }
 
 // WatermarkResponse is the GET /v1/replication/watermark answer: this
@@ -167,9 +148,11 @@ type replicatorHooks struct {
 
 // replicator asynchronously pushes job records to the replication
 // target set, one independent stream per target. Each stream holds at
-// most one pending operation per job ID (the latest state wins), so its
-// queue is bounded by the server's own job population — retention plus
-// the queue — no matter how long the follower stays unreachable. Failed
+// most one pending op per job ID (the latest state wins), and queues a
+// delete only for an ID some push attempt carried: an eviction drops
+// any other ID's pending op instead. Its queue is therefore bounded by
+// the server's own job population — retention plus the queue — plus
+// one batch, however long the follower stays unreachable. Failed
 // batches are retried with capped exponential backoff plus jitter; a
 // stream past replicateStallAfter consecutive failures is stalled —
 // surfaced on /healthz and counted — until a push succeeds again.
@@ -190,9 +173,10 @@ type repStream struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	pending  map[string]repOp
-	order    []string
-	inflight int // ops in the batch being pushed right now
+	order    list.List                // queued store.Ops, oldest first
+	pending  map[string]*list.Element // job ID → its op in order
+	sent     map[string]bool          // IDs some push attempt carried
+	inflight int                      // ops in the batch being pushed right now
 	closed   chan struct{}
 
 	acked         uint64 // records+deletes this follower acknowledged
@@ -201,11 +185,6 @@ type repStream struct {
 	fails         int // consecutive failed pushes
 	stalled       bool
 	stalls        uint64 // stall episodes
-}
-
-type repOp struct {
-	rec store.JobRecord
-	del bool
 }
 
 const (
@@ -280,14 +259,9 @@ func (r *replicator) hasTargets() bool {
 	return len(r.streams) > 0
 }
 
-// enqueue schedules one record push to every target, superseding any
-// pending op for the same ID.
-func (r *replicator) enqueue(rec store.JobRecord) { r.fan(rec.ID, repOp{rec: rec}) }
-
-// enqueueDelete schedules a deletion push to every target.
-func (r *replicator) enqueueDelete(id string) { r.fan(id, repOp{del: true}) }
-
-func (r *replicator) fan(id string, op repOp) {
+// enqueue schedules a job or deljob op to every target, superseding
+// any pending op for the same ID.
+func (r *replicator) enqueue(op store.Op) {
 	r.mu.Lock()
 	streams := make([]*repStream, 0, len(r.streams))
 	for _, st := range r.streams {
@@ -297,18 +271,18 @@ func (r *replicator) fan(id string, op repOp) {
 	// No targets: drop rather than queue without bound. Adding a target
 	// later reseeds the full state, so nothing is lost.
 	for _, st := range streams {
-		st.add(id, op)
+		st.add(op)
 	}
 }
 
-// enqueueTo schedules one record push to a single target — the re-seed
-// path after that follower's watermark regressed.
-func (r *replicator) enqueueTo(target string, rec store.JobRecord) {
+// enqueueTo schedules one op to a single target — the seeding path of a
+// new follower, or of one whose watermark regressed.
+func (r *replicator) enqueueTo(target string, op store.Op) {
 	r.mu.Lock()
 	st := r.streams[strings.TrimRight(target, "/")]
 	r.mu.Unlock()
 	if st != nil {
-		st.add(rec.ID, repOp{rec: rec})
+		st.add(op)
 	}
 }
 
@@ -328,7 +302,7 @@ func (r *replicator) targetStats(termSeq uint64) []ReplicaTargetStats {
 			URL:       st.target,
 			Acked:     st.acked,
 			Watermark: st.watermark,
-			Pending:   len(st.order) + st.inflight,
+			Pending:   st.order.Len() + st.inflight,
 			Fails:     st.fails,
 			Stalled:   st.stalled,
 		}
@@ -385,7 +359,8 @@ func newRepStream(r *replicator, target string) *repStream {
 	st := &repStream{
 		r:       r,
 		target:  target,
-		pending: make(map[string]repOp),
+		pending: make(map[string]*list.Element),
+		sent:    make(map[string]bool),
 		closed:  make(chan struct{}),
 	}
 	st.cond = sync.NewCond(&st.mu)
@@ -393,23 +368,36 @@ func newRepStream(r *replicator, target string) *repStream {
 	return st
 }
 
-// add queues op for id, replacing and moving behind every other ID
-// any op still pending for it. Terminal seqs are assigned in enqueue
-// order, so pending terminal records leave in seq order and a follower
-// acking a batch never vouches for a seq above one still queued here.
-func (st *repStream) add(id string, op repOp) {
+// add queues op behind every other ID, replacing any op still pending
+// for its ID. Terminal seqs are assigned in enqueue order, so pending
+// terminal records leave in seq order and a follower acking a batch
+// never vouches for a seq above one still queued here. A delete for an
+// ID no push attempt carried owes the follower nothing: it only drops
+// the ID's pending op.
+func (st *repStream) add(op store.Op) {
+	id := opID(op)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.isClosed() {
 		return
 	}
-	if _, ok := st.pending[id]; ok {
-		i := slices.Index(st.order, id)
-		st.order = slices.Delete(st.order, i, i+1)
+	if e, ok := st.pending[id]; ok {
+		st.order.Remove(e)
+		delete(st.pending, id)
 	}
-	st.order = append(st.order, id)
-	st.pending[id] = op
+	if op.Kind == store.OpDeleteJob && !st.sent[id] {
+		return
+	}
+	st.pending[id] = st.order.PushBack(op)
 	st.cond.Signal()
+}
+
+// opID names the job an op puts or deletes.
+func opID(op store.Op) string {
+	if op.Rec != nil {
+		return op.Rec.ID
+	}
+	return op.ID
 }
 
 func (st *repStream) close() {
@@ -436,38 +424,28 @@ func (st *repStream) loop() {
 	backoff := replicateMinBackoff
 	for {
 		st.mu.Lock()
-		for len(st.order) == 0 && !st.isClosed() {
+		for st.order.Len() == 0 && !st.isClosed() {
 			st.cond.Wait()
 		}
 		if st.isClosed() {
 			st.mu.Unlock()
 			return
 		}
-		n := len(st.order)
-		if n > replicateBatch {
-			n = replicateBatch
-		}
-		ids := st.order[:n]
-		req := ReplicateRequest{Origin: st.r.origin}
-		batch := make([]repOp, 0, n)
+		n := min(st.order.Len(), replicateBatch)
+		batch := RecordBatch{Origin: st.r.origin, Ops: make([]store.Op, 0, n)}
 		acks := make([]repAck, 0, n)
-		for _, id := range ids {
-			op := st.pending[id]
-			batch = append(batch, op)
+		for range n {
+			op := st.order.Remove(st.order.Front()).(store.Op)
+			id := opID(op)
 			delete(st.pending, id)
-			if op.del {
-				req.Deletes = append(req.Deletes, id)
-				acks = append(acks, repAck{id: id, terminal: true})
-			} else {
-				req.Records = append(req.Records, op.rec)
-				acks = append(acks, repAck{id: id, terminal: store.Terminal(op.rec.State)})
-			}
+			st.sent[id] = true
+			batch.Ops = append(batch.Ops, op)
+			acks = append(acks, repAck{id: id, terminal: op.Rec == nil || store.Terminal(op.Rec.State)})
 		}
-		st.order = append([]string(nil), st.order[n:]...)
 		st.inflight = n
 		st.mu.Unlock()
 
-		resp, err := st.send(req)
+		resp, err := st.send(batch)
 		if err != nil {
 			// Put the batch back at the front, in its own order, so it is
 			// retried first (an op a newer one superseded while in flight
@@ -475,14 +453,12 @@ func (st *repStream) loop() {
 			// for stall detection, and back off before the next attempt.
 			st.mu.Lock()
 			st.inflight = 0
-			back := make([]string, 0, len(st.order)+n)
-			for i, id := range ids {
-				if _, ok := st.pending[id]; !ok {
-					st.pending[id] = batch[i]
-					back = append(back, id)
+			for i := n - 1; i >= 0; i-- {
+				op := batch.Ops[i]
+				if id := opID(op); st.pending[id] == nil {
+					st.pending[id] = st.order.PushFront(op)
 				}
 			}
-			st.order = append(back, st.order...)
 			st.fails++
 			if st.fails == replicateStallAfter {
 				st.stalled = true
@@ -504,6 +480,11 @@ func (st *repStream) loop() {
 		backoff = replicateMinBackoff
 		st.mu.Lock()
 		st.inflight = 0
+		for _, op := range batch.Ops {
+			if op.Kind == store.OpDeleteJob {
+				delete(st.sent, op.ID) // the follower has forgotten the ID
+			}
+		}
 		st.acked += uint64(n)
 		st.fails = 0
 		st.stalled = false
@@ -521,8 +502,8 @@ func (st *repStream) loop() {
 	}
 }
 
-func (st *repStream) send(req ReplicateRequest) (*ReplicateResponse, error) {
-	body, err := json.Marshal(req)
+func (st *repStream) send(batch RecordBatch) (*ReplicateResponse, error) {
+	body, err := json.Marshal(batch)
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +546,7 @@ func (s *Server) SetReplicaTargets(urls []string) {
 // Callers hold s.mu.
 func (s *Server) seedReplicationToLocked(target string) {
 	for _, j := range s.jobsBySeqLocked() {
-		s.rep.enqueueTo(target, s.recordOf(j, j.seq))
+		s.rep.enqueueTo(target, s.jobOp(j))
 	}
 }
 
@@ -595,7 +576,7 @@ func (s *Server) reseedAbove(target string, fromSeq uint64) {
 	defer s.mu.Unlock()
 	for _, j := range s.jobsBySeqLocked() {
 		if j.seq > fromSeq || !j.finished {
-			s.rep.enqueueTo(target, s.recordOf(j, j.seq))
+			s.rep.enqueueTo(target, s.jobOp(j))
 		}
 	}
 }
@@ -613,17 +594,23 @@ func (s *Server) reseedAbove(target string, fromSeq uint64) {
 // storeOpFailed marking the record dirty) holds the whole origin's
 // advance back until a later batch heals it.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	var req ReplicateRequest
-	if !decodeInternal(w, r, &req) {
+	req, ok := decodeBatch(w, r, store.OpPutJob, store.OpDeleteJob)
+	if !ok {
 		return
 	}
-	compactRecords(req.Records)
 	s.mu.Lock()
 	applied := 0
 	// touched collects every ID this request may vouch for; their
 	// durable seqs are re-read from memory after the store settles.
-	touched := make([]string, 0, len(req.Records))
-	for _, rec := range req.Records {
+	touched := make([]string, 0, len(req.Ops))
+	for _, op := range req.Ops {
+		if op.Kind == store.OpDeleteJob {
+			if s.dropReplicaLocked(op.ID) {
+				applied++
+			}
+			continue
+		}
+		rec := op.Rec
 		if rec.ID == "" {
 			continue
 		}
@@ -635,24 +622,14 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rec.Origin = req.Origin
-		s.replicas[rec.ID] = rec
+		s.replicas[rec.ID] = *rec
 		if s.cfg.Store != nil {
 			// Clear the dirty mark optimistically: if this write fails
 			// too, storeOpFailed re-marks it before syncStore returns.
 			delete(s.replicaDirty, rec.ID)
-			rc := rec
-			s.enqueueOpLocked(store.Op{Kind: store.OpPutReplica, Rec: &rc})
+			s.enqueueOpLocked(store.Op{Kind: store.OpPutReplica, Rec: rec})
 		}
 		touched = append(touched, rec.ID)
-		applied++
-	}
-	for _, id := range req.Deletes {
-		if _, ok := s.replicas[id]; !ok {
-			continue
-		}
-		delete(s.replicas, id)
-		delete(s.replicaDirty, id)
-		s.enqueueOpLocked(store.Op{Kind: store.OpDeleteReplica, ID: id})
 		applied++
 	}
 	// Dirty replicas — applied in memory but refused by the store on an
@@ -727,44 +704,37 @@ func (s *Server) handleWatermark(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePromote is POST /v1/promote: failover promotion of the replica
-// namespace. Terminal replicas become queryable local jobs answering
-// byte-identical to the lost primary; live replicas re-run under their
-// original IDs. Idempotent — IDs that already exist locally are
-// skipped, so the router may re-trigger promotion freely.
+// namespace. Each of the origin's replicas is adopted as reconcile
+// adopts a record (adoptRecordLocked): a terminal replica becomes a
+// queryable local job, or the outcome of a live local job with its ID,
+// answering byte-identical to the lost primary; a live replica re-runs
+// under its original ID. Idempotent — once adopted, a replica's ID is a
+// local job that adopts nothing further, so the router may re-trigger
+// promotion freely.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
 	if !decodeInternal(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
-	// Install in the origin's own (Seq, ID) order, never map order: the
+	// Adopt in the origin's own (Seq, ID) order, never map order: the
 	// terminal seqs minted here, the queue order of live jobs and the
 	// LRU warm order must not change from run to run.
 	var recs []store.JobRecord
 	for _, rec := range s.replicas {
-		if rec.Origin != req.Origin {
-			continue
+		if rec.Origin == req.Origin {
+			recs = append(recs, rec)
 		}
-		if _, ok := s.jobs[rec.ID]; ok {
-			continue // already promoted (or adopted via reconcile)
-		}
-		recs = append(recs, rec)
 	}
-	sort.Slice(recs, func(i, k int) bool {
-		if recs[i].Seq != recs[k].Seq {
-			return recs[i].Seq < recs[k].Seq
-		}
-		return recs[i].ID < recs[k].ID
+	slices.SortFunc(recs, func(a, b store.JobRecord) int {
+		return cmp.Or(cmp.Compare(a.Seq, b.Seq), strings.Compare(a.ID, b.ID))
 	})
 	promoted := 0
 	for _, rec := range recs {
-		if store.Terminal(rec.State) {
-			s.installTerminalLocked(rec)
-		} else {
-			s.recoverLive(rec)
+		if s.adoptRecordLocked(rec) {
+			s.stats.Promoted++
+			promoted++
 		}
-		s.stats.Promoted++
-		promoted++
 	}
 	s.cond.Broadcast() // promoted live jobs joined the queue
 	s.mu.Unlock()
@@ -784,42 +754,46 @@ func (s *Server) installTerminalLocked(rec store.JobRecord) {
 	j.seq = s.termSeq
 	s.persistJob(j)
 	s.retainLocked(j)
+	s.warmCacheLocked(rec)
+}
+
+// warmCacheLocked adds a done record's clean result to the result
+// cache. Callers hold s.mu.
+func (s *Server) warmCacheLocked(rec store.JobRecord) {
 	if rec.State == StateDone && rec.Key != "" && len(rec.Result) > 0 {
 		s.cache.add(rec.Key, rec.Result)
 		s.persistCachePut(rec.Key, rec.Result)
 	}
 }
 
-// handleReconcile is POST /v1/reconcile: adopt records pushed by the
-// router — the anti-entropy sweep back onto a rejoined primary, or a
-// key-range migration during elastic join/leave.
+// handleReconcile is POST /v1/reconcile: adopt the job records and
+// cache entries of a batch pushed by the router — the anti-entropy
+// sweep back onto a rejoined primary, or a key-range migration during
+// elastic join/leave. A cache entry is adopted only for a key the
+// cache does not hold.
 func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
-	var req ReconcileRequest
-	if !decodeInternal(w, r, &req) {
+	batch, ok := decodeBatch(w, r, store.OpPutJob, store.OpPutCache)
+	if !ok {
 		return
 	}
-	compactRecords(req.Records)
-	compactCache(req.Cache)
 	s.mu.Lock()
 	applied := 0
-	for _, rec := range req.Records {
-		if rec.ID == "" {
+	for _, op := range batch.Ops {
+		if op.Kind == store.OpPutJob {
+			if op.Rec.ID != "" && s.adoptRecordLocked(*op.Rec) {
+				s.stats.Reconciled++
+				applied++
+			}
 			continue
 		}
-		if s.adoptRecordLocked(rec) {
-			s.stats.Reconciled++
-			applied++
-		}
-	}
-	for _, entry := range req.Cache {
-		if entry.Key == "" {
+		if op.Key == "" {
 			continue
 		}
-		if _, ok := s.cache.get(entry.Key); ok {
+		if _, ok := s.cache.get(op.Key); ok {
 			continue
 		}
-		s.cache.add(entry.Key, entry.Result)
-		s.persistCachePut(entry.Key, entry.Result)
+		s.cache.add(op.Key, op.Result)
+		s.persistCachePut(op.Key, op.Result)
 		applied++
 	}
 	s.cond.Broadcast() // adopted live jobs joined the queue
@@ -827,31 +801,25 @@ func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ReconcileResponse{Applied: applied})
 }
 
-// adoptRecordLocked folds one reconciled record into local state using
-// terminal-beats-live. It reports whether anything changed. Callers
-// hold s.mu.
+// adoptRecordLocked folds one foreign record into local state using
+// terminal-beats-live, for promotion and reconcile alike: a terminal
+// record overrides a local queued or running job with the same ID (the
+// local run is cancelled and the outcome installed byte-identical); a
+// terminal local job is never overwritten; a record for an unknown ID
+// is installed if terminal and re-enqueued under its ID if live. It
+// reports whether anything changed. Callers hold s.mu.
 func (s *Server) adoptRecordLocked(rec store.JobRecord) bool {
 	local, ok := s.jobs[rec.ID]
 	switch {
 	case ok && local.finished:
-		return false // a terminal local job is never overwritten
+		return false
 	case ok && store.Terminal(rec.State):
-		// A live local job (queued or running) adopts the replicated
-		// outcome: the re-run is cancelled and the terminal state —
-		// byte-identical to what the follower answered — installed.
 		if local.state == StateQueued {
-			for i, q := range s.queue {
-				if q == local {
-					s.queue = append(s.queue[:i], s.queue[i+1:]...)
-					break
-				}
-			}
+			s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == local })
 		}
+		local.cacheHit, local.coalesced = rec.CacheHit, rec.Coalesced
 		s.finishWithLocked(local, rec.State, rec.Result, errorOf(rec), false)
-		if rec.State == StateDone && rec.Key != "" && len(rec.Result) > 0 {
-			s.cache.add(rec.Key, rec.Result)
-			s.persistCachePut(rec.Key, rec.Result)
-		}
+		s.warmCacheLocked(rec)
 		return true
 	case ok:
 		return false // both live: our own run will finish it
@@ -864,22 +832,21 @@ func (s *Server) adoptRecordLocked(rec store.JobRecord) bool {
 	}
 }
 
-// handleRecords is GET /v1/records[?prefix=s0-]: this instance's job
-// records plus its cache entries, the transfer format reconcile
-// consumes on the other end.
+// handleRecords is GET /v1/records[?prefix=s0-]: a batch of this
+// instance's job records, in (Seq, ID) order, then its cache entries,
+// oldest first — what reconcile consumes on the other end.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	prefix := r.URL.Query().Get("prefix")
 	s.mu.Lock()
-	resp := RecordsResponse{Records: []store.JobRecord{}}
+	batch := RecordBatch{Ops: []store.Op{}}
 	for _, j := range s.jobsBySeqLocked() {
-		if prefix != "" && !strings.HasPrefix(j.id, prefix) {
-			continue
+		if strings.HasPrefix(j.id, prefix) {
+			batch.Ops = append(batch.Ops, s.jobOp(j))
 		}
-		resp.Records = append(resp.Records, s.recordOf(j, j.seq))
 	}
-	resp.Cache = s.cache.entries()
+	batch.Ops = s.cache.appendOps(batch.Ops)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, batch)
 }
 
 // handleReplicaStatus is GET /v1/replicas/{id}: the replica namespace
@@ -949,4 +916,28 @@ func decodeInternal(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// decodeBatch parses an internal endpoint's RecordBatch body and
+// checks that every op has one of kinds and that a job op carries its
+// record, then compacts the results it carries (see compactJSON). A
+// false return means the error response was already written.
+func decodeBatch(w http.ResponseWriter, r *http.Request, kinds ...store.OpKind) (RecordBatch, bool) {
+	var batch RecordBatch
+	if !decodeInternal(w, r, &batch) {
+		return batch, false
+	}
+	for i := range batch.Ops {
+		op := &batch.Ops[i]
+		if !slices.Contains(kinds, op.Kind) || op.Kind == store.OpPutJob && op.Rec == nil {
+			writeError(w, http.StatusBadRequest, &ErrorPayload{Code: CodeBadRequest,
+				Message: fmt.Sprintf("op %d: want an op of kind %v, and a record in a job op", i, kinds)})
+			return batch, false
+		}
+		if op.Rec != nil {
+			op.Rec.Result = compactJSON(op.Rec.Result)
+		}
+		op.Result = compactJSON(op.Result)
+	}
+	return batch, true
 }

@@ -65,6 +65,15 @@ func waitReplicated(t *testing.T, primary, follower string, n int) {
 	})
 }
 
+// jobOps wraps records as the job ops of a RecordBatch.
+func jobOps(recs ...store.JobRecord) []store.Op {
+	ops := make([]store.Op, len(recs))
+	for i := range recs {
+		ops[i] = store.Op{Kind: store.OpPutJob, Rec: &recs[i]}
+	}
+	return ops
+}
+
 func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(v)
@@ -123,18 +132,18 @@ func TestReplicationPendingCountsInFlight(t *testing.T) {
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(release) }) }
 	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req server.ReplicateRequest
+		var req server.RecordBatch
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		for _, rec := range req.Records {
-			if store.Terminal(rec.State) {
+		for _, op := range req.Ops {
+			if op.Rec != nil && store.Terminal(op.Rec.State) {
 				entered <- struct{}{}
 				<-release
 			}
 		}
-		json.NewEncoder(w).Encode(server.ReplicateResponse{Applied: len(req.Records)})
+		json.NewEncoder(w).Encode(server.ReplicateResponse{Applied: len(req.Ops)})
 	}))
 	t.Cleanup(follower.Close)
 	t.Cleanup(unblock)
@@ -256,6 +265,49 @@ func TestPromoteLiveReruns(t *testing.T) {
 	})
 }
 
+// TestPromoteTerminalBeatsLiveLocal: promotion adopts through
+// reconcile's terminal-beats-live path. A terminal replica whose ID is
+// a live local job on the holder (here one migrated in by reconcile and
+// still queued) finishes that job with the replica's outcome, answering
+// byte-identical to the replica, and counts as promoted.
+func TestPromoteTerminalBeatsLiveLocal(t *testing.T) {
+	_, holder := newConfiguredServer(t, server.Config{
+		Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: store.NewMemStore(),
+	})
+	// Park the holder's single worker so the migrated job stays queued.
+	blocker := submitBody(t, tinyProblemJSON(t, "beats-live-blocker"), server.SolveSpec{Algorithm: "test-block"})
+	if resp, got := post(t, holder.URL+"/v1/jobs", blocker); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker submit = %d (body %s)", resp.StatusCode, got)
+	}
+	<-blockUp
+	defer func() { blockDone <- struct{}{} }()
+
+	live := store.JobRecord{ID: "p0-job-00000007", State: server.StateQueued, Problem: tinyProblemJSON(t, "beats-live")}
+	if resp, body := postJSON(t, holder.URL+"/v1/reconcile", server.RecordBatch{Ops: jobOps(live)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reconcile status = %d (body %s)", resp.StatusCode, body)
+	}
+	local := waitState(t, holder.URL, live.ID, server.StateQueued)
+	terminal := store.JobRecord{ID: live.ID, Key: local.Key, State: server.StateDone, Coalesced: true,
+		Result: json.RawMessage(`{"feasible":true}`), Seq: 5}
+	if resp, body := postJSON(t, holder.URL+"/v1/replicate",
+		server.RecordBatch{Origin: "p0-", Ops: jobOps(terminal)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("replicate status = %d (body %s)", resp.StatusCode, body)
+	}
+	_, replica := get(t, holder.URL+"/v1/replicas/"+live.ID)
+
+	resp, body := postJSON(t, holder.URL+"/v1/promote", server.PromoteRequest{Origin: "p0-"})
+	var pr server.PromoteResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil || pr.Promoted != 1 {
+		t.Fatalf("promote = %d %s, want 1 promoted", resp.StatusCode, body)
+	}
+	if _, adopted := get(t, holder.URL+"/v1/jobs/"+live.ID); !bytes.Equal(adopted, replica) {
+		t.Fatalf("promoted status diverged:\nreplica: %s\nlocal:   %s", replica, adopted)
+	}
+	if st := remoteStats(t, holder.URL); st.Promoted != 1 {
+		t.Fatalf("Promoted = %d, want 1", st.Promoted)
+	}
+}
+
 // TestReconcileTerminalBeatsLive pins anti-entropy adoption: a terminal
 // incoming record installs on an unknown ID, never overwrites a
 // terminal local job, and a live incoming record re-runs locally.
@@ -269,10 +321,9 @@ func TestReconcileTerminalBeatsLive(t *testing.T) {
 	}
 	// The cache entry uses a distinct key: installing the terminal record
 	// already warms k1, and an already-present entry must not re-count.
-	resp, body := postJSON(t, ts.URL+"/v1/reconcile", server.ReconcileRequest{
-		Records: []store.JobRecord{rec},
-		Cache:   []store.CacheEntry{{Key: "k1", Result: result}, {Key: "k2", Result: result}},
-	})
+	resp, body := postJSON(t, ts.URL+"/v1/reconcile", server.RecordBatch{Ops: append(jobOps(rec),
+		store.Op{Kind: store.OpPutCache, Key: "k1", Result: result},
+		store.Op{Kind: store.OpPutCache, Key: "k2", Result: result})})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reconcile status = %d (body %s)", resp.StatusCode, body)
 	}
@@ -296,7 +347,7 @@ func TestReconcileTerminalBeatsLive(t *testing.T) {
 	}
 
 	// Redelivery: the terminal local job must not re-adopt.
-	_, body = postJSON(t, ts.URL+"/v1/reconcile", server.ReconcileRequest{Records: []store.JobRecord{rec}})
+	_, body = postJSON(t, ts.URL+"/v1/reconcile", server.RecordBatch{Ops: jobOps(rec)})
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +360,7 @@ func TestReconcileTerminalBeatsLive(t *testing.T) {
 	live := store.JobRecord{
 		ID: "px-job-00000002", State: server.StateQueued, Problem: liveCanon,
 	}
-	_, body = postJSON(t, ts.URL+"/v1/reconcile", server.ReconcileRequest{Records: []store.JobRecord{live}})
+	_, body = postJSON(t, ts.URL+"/v1/reconcile", server.RecordBatch{Ops: jobOps(live)})
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +533,7 @@ func TestReplayRetentionDropsPromotedReplica(t *testing.T) {
 			Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Store: ms,
 		})
 		if resp, body := postJSON(t, follower.URL+"/v1/replicate",
-			server.ReplicateRequest{Origin: "p0-", Records: recs}); resp.StatusCode != http.StatusOK {
+			server.RecordBatch{Origin: "p0-", Ops: jobOps(recs...)}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("replicate: status %d (body %s)", resp.StatusCode, body)
 		}
 		promote := func(base string) server.PromoteResponse {
@@ -545,7 +596,7 @@ func TestRecordsLeaveInSeqOrder(t *testing.T) {
 			Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p0-", Store: ms,
 		})
 		resp, body := get(t, source.URL+"/v1/records")
-		var rr server.RecordsResponse
+		var rr server.RecordBatch
 		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &rr) != nil {
 			t.Fatalf("records: status %d (body %s)", resp.StatusCode, body)
 		}
@@ -553,7 +604,7 @@ func TestRecordsLeaveInSeqOrder(t *testing.T) {
 			Pool: 1, QueueSize: 8, CacheSize: 8, IDPrefix: "p1-", Retention: 1,
 		})
 		if resp, body := postJSON(t, target.URL+"/v1/reconcile",
-			server.ReconcileRequest{Records: rr.Records}); resp.StatusCode != http.StatusOK {
+			rr); resp.StatusCode != http.StatusOK {
 			t.Fatalf("reconcile: status %d (body %s)", resp.StatusCode, body)
 		}
 		status := func(id string) int {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -15,7 +16,7 @@ import (
 // heldPush is one replicate push held at a test follower until the
 // test answers it.
 type heldPush struct {
-	req   ReplicateRequest
+	req   RecordBatch
 	reply chan heldReply
 }
 
@@ -67,8 +68,12 @@ func holdingFollower(t *testing.T) (url string, next func() heldPush) {
 	}
 }
 
-func doneRecord(id string, seq uint64) store.JobRecord {
-	return store.JobRecord{ID: id, State: StateDone, Seq: seq}
+func doneRecord(id string, seq uint64) store.Op {
+	return jobPut(store.JobRecord{ID: id, State: StateDone, Seq: seq})
+}
+
+func jobPut(rec store.JobRecord) store.Op {
+	return store.Op{Kind: store.OpPutJob, Rec: &rec}
 }
 
 // TestFailedPushRetriedFirstInOrder: after a failed push the batch goes
@@ -80,10 +85,10 @@ func TestFailedPushRetriedFirstInOrder(t *testing.T) {
 	r := newReplicator("p0-", replicatorHooks{})
 	defer r.close()
 	r.setTargets([]string{url})
-	ids := func(req ReplicateRequest) []string {
+	ids := func(req RecordBatch) []string {
 		var out []string
-		for _, rec := range req.Records {
-			out = append(out, fmt.Sprintf("%s@%d", rec.ID, rec.Seq))
+		for _, op := range req.Ops {
+			out = append(out, fmt.Sprintf("%s@%d", op.Rec.ID, op.Rec.Seq))
 		}
 		return out
 	}
@@ -137,8 +142,8 @@ func TestWatermarkNeverPassesPendingSeq(t *testing.T) {
 	warm := next()
 	// Two jobs are queued live ahead of 80 that finish first; then they
 	// finish too, with the last seqs.
-	r.enqueue(store.JobRecord{ID: "p0-job-live1", State: StateRunning})
-	r.enqueue(store.JobRecord{ID: "p0-job-live2", State: StateQueued})
+	r.enqueue(jobPut(store.JobRecord{ID: "p0-job-live1", State: StateRunning}))
+	r.enqueue(jobPut(store.JobRecord{ID: "p0-job-live2", State: StateQueued}))
 	seq := uint64(1)
 	for i := 0; i < 80; i++ {
 		seq++
@@ -151,17 +156,17 @@ func TestWatermarkNeverPassesPendingSeq(t *testing.T) {
 	high, pushed := uint64(1), 0
 	for pushed < 82 {
 		p := next()
-		for _, rec := range p.req.Records {
-			if store.Terminal(rec.State) {
-				high = max(high, rec.Seq)
+		for _, op := range p.req.Ops {
+			if store.Terminal(op.Rec.State) {
+				high = max(high, op.Rec.Seq)
 			}
 			pushed++
 		}
 		st.mu.Lock()
-		for id, op := range st.pending {
-			if !op.del && store.Terminal(op.rec.State) && op.rec.Seq <= high {
+		for id, e := range st.pending {
+			if op := e.Value.(store.Op); op.Rec != nil && store.Terminal(op.Rec.State) && op.Rec.Seq <= high {
 				st.mu.Unlock()
-				t.Fatalf("a push raised the follower's watermark to %d while %s@%d is still queued", high, id, op.rec.Seq)
+				t.Fatalf("a push raised the follower's watermark to %d while %s@%d is still queued", high, id, op.Rec.Seq)
 			}
 		}
 		st.mu.Unlock()
@@ -169,5 +174,35 @@ func TestWatermarkNeverPassesPendingSeq(t *testing.T) {
 	}
 	if high != seq+2 {
 		t.Fatalf("follower's watermark ended at %d, want %d", high, seq+2)
+	}
+}
+
+// TestDeadFollowerBacklogBounded: against a follower that refuses every
+// connection, a stream's backlog stays within the primary's own job
+// population plus one batch. An eviction drops the pending op of an ID
+// no push carried instead of queueing a delete the follower was never
+// owed.
+func TestDeadFollowerBacklogBounded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+	const retention, queue = 16, 64
+	s, err := New(Config{Pool: 1, QueueSize: queue, CacheSize: 8, Retention: retention,
+		IDPrefix: "p0-", ReplicaTargets: []string{dead}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	for i := range 5000 {
+		if rec := postTo(h, "/v1/solve", tinyBody(fmt.Sprintf("dead-follower-%d", i), "")); rec.Code != http.StatusOK {
+			t.Fatalf("solve %d answered %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	if got, bound := s.Stats().ReplicationPending, retention+queue+replicateBatch; got > bound {
+		t.Fatalf("ReplicationPending = %d after 5000 jobs against a dead follower, want <= %d", got, bound)
 	}
 }

@@ -67,7 +67,7 @@ func TestPeerResultServedCompacted(t *testing.T) {
 	rec := store.JobRecord{ID: "p0-job-00000001", Key: "k1", State: server.StateDone, Result: spacedResult, Seq: 1}
 	want := encoderBody(t, server.JobStatus{ID: rec.ID, Key: rec.Key, State: rec.State, Result: spacedResult})
 
-	postRaw(t, ts.URL+"/v1/replicate", server.ReplicateRequest{Origin: "p0-", Records: []store.JobRecord{rec}})
+	postRaw(t, ts.URL+"/v1/replicate", server.RecordBatch{Origin: "p0-", Ops: jobOps(rec)})
 	if _, got := get(t, ts.URL+"/v1/replicas/"+rec.ID); !bytes.Equal(got, want) {
 		t.Fatalf("replica status =\n%s\nwant\n%s", got, want)
 	}
@@ -80,7 +80,7 @@ func TestPeerResultServedCompacted(t *testing.T) {
 
 	rec.ID = "p0-job-00000002"
 	want = encoderBody(t, server.JobStatus{ID: rec.ID, Key: rec.Key, State: rec.State, Result: spacedResult})
-	postRaw(t, ts.URL+"/v1/reconcile", server.ReconcileRequest{Records: []store.JobRecord{rec}})
+	postRaw(t, ts.URL+"/v1/reconcile", server.RecordBatch{Ops: jobOps(rec)})
 	if _, got := get(t, ts.URL+"/v1/jobs/"+rec.ID); !bytes.Equal(got, want) {
 		t.Fatalf("reconciled status =\n%s\nwant\n%s", got, want)
 	}
@@ -98,8 +98,8 @@ func TestReconciledCacheEntryServedCompacted(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t)
-	postRaw(t, ts.URL+"/v1/reconcile", server.ReconcileRequest{
-		Cache: []store.CacheEntry{{Key: solved.Key, Result: spacedResult}},
+	postRaw(t, ts.URL+"/v1/reconcile", server.RecordBatch{
+		Ops: []store.Op{{Kind: store.OpPutCache, Key: solved.Key, Result: spacedResult}},
 	})
 	_, got = post(t, ts.URL+"/v1/solve", body)
 	var hit server.JobStatus

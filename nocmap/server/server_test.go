@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -663,4 +664,32 @@ func decodeStatus(t *testing.T, body []byte) server.JobStatus {
 		t.Fatalf("decoding status: %v (%s)", err, body)
 	}
 	return st
+}
+
+// TestReadSubmitBodySizes: a body with a declared length, or chunked
+// (length -1), reads back whole; a declared length past MaxBodyBytes
+// answers the typed 413 before any of the body is read or a buffer is
+// sized from the header.
+func TestReadSubmitBodySizes(t *testing.T) {
+	body := tinyProblemJSON(t, "read-sizes")
+	for _, length := range []int64{int64(len(body)), -1} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		req.ContentLength = length
+		got, serr := server.ReadSubmitBody(httptest.NewRecorder(), req)
+		if serr != nil || !bytes.Equal(got, body) {
+			t.Fatalf("length %d: read %q, %+v; want the body", length, got, serr)
+		}
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+	req.ContentLength = server.MaxBodyBytes + 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, serr := server.ReadSubmitBody(httptest.NewRecorder(), req)
+	runtime.ReadMemStats(&after)
+	if serr == nil || serr.Status != http.StatusRequestEntityTooLarge || serr.Payload.Code != server.CodeBadRequest {
+		t.Fatalf("declared length past the cap: read %d bytes, %+v; want a typed 413", len(got), serr)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
+		t.Fatalf("refusing a declared length past the cap allocated %d bytes", grown)
+	}
 }

@@ -72,25 +72,18 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			recs, err := rt.fetchRecords(r.Context(), topo.backends[i], "")
+			batch, err := rt.fetchRecords(r.Context(), topo.backends[i], "")
 			if err != nil {
 				return // unreachable donor: its successor's replicas cover it
 			}
-			var move server.ReconcileRequest
-			for _, rec := range recs.Records {
-				if rec.Key == "" || !store.Terminal(rec.State) {
-					continue
-				}
-				if next.ring.owner(rec.Key) == newIdx {
-					move.Records = append(move.Records, rec)
+			var move server.RecordBatch
+			for _, op := range batch.Ops {
+				live := op.Rec != nil && !store.Terminal(op.Rec.State)
+				if key := opKey(op); key != "" && !live && next.ring.owner(key) == newIdx {
+					move.Ops = append(move.Ops, op)
 				}
 			}
-			for _, entry := range recs.Cache {
-				if entry.Key != "" && next.ring.owner(entry.Key) == newIdx {
-					move.Cache = append(move.Cache, entry)
-				}
-			}
-			if len(move.Records) == 0 && len(move.Cache) == 0 {
+			if len(move.Ops) == 0 {
 				return
 			}
 			var resp server.ReconcileResponse
@@ -98,7 +91,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			mu.Lock()
-			migrated += len(move.Records) + len(move.Cache)
+			migrated += len(move.Ops)
 			mu.Unlock()
 		}(i)
 	}
@@ -156,29 +149,18 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	// already unreachable the migration is skipped and its replicas on
 	// the ring successor (promoted when it went down) stand in.
 	migrated := 0
-	if recs, err := rt.fetchRecords(r.Context(), url, ""); err == nil { //nocmapvet:allow blockingunderlock elasticMu intentionally serializes membership changes end-to-end; docs/STATIC_ANALYSIS.md#baselines
-		byOwner := make(map[int]*server.ReconcileRequest)
-		dest := func(owner int) *server.ReconcileRequest {
-			m, ok := byOwner[owner]
-			if !ok {
-				m = &server.ReconcileRequest{}
-				byOwner[owner] = m
-			}
-			return m
-		}
-		for _, rec := range recs.Records {
-			if rec.Key == "" {
+	if batch, err := rt.fetchRecords(r.Context(), url, ""); err == nil { //nocmapvet:allow blockingunderlock elasticMu intentionally serializes membership changes end-to-end; docs/STATIC_ANALYSIS.md#baselines
+		byOwner := make(map[int]*server.RecordBatch)
+		for _, op := range batch.Ops {
+			key := opKey(op)
+			if key == "" {
 				continue
 			}
-			m := dest(next.ring.owner(rec.Key))
-			m.Records = append(m.Records, rec)
-		}
-		for _, entry := range recs.Cache {
-			if entry.Key == "" {
-				continue
+			owner := next.ring.owner(key)
+			if byOwner[owner] == nil {
+				byOwner[owner] = &server.RecordBatch{}
 			}
-			m := dest(next.ring.owner(entry.Key))
-			m.Cache = append(m.Cache, entry)
+			byOwner[owner].Ops = append(byOwner[owner].Ops, op)
 		}
 		// Drain owners in ring order, not map order, so a leave always
 		// issues the same reconcile sequence for the same fleet state.
@@ -193,7 +175,7 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 			if rt.postJSON(r.Context(), next.backends[owner]+"/v1/reconcile", *move, &resp) != nil { //nocmapvet:allow blockingunderlock elasticMu intentionally serializes membership changes end-to-end; docs/STATIC_ANALYSIS.md#baselines
 				continue
 			}
-			migrated += len(move.Records) + len(move.Cache)
+			migrated += len(move.Ops)
 		}
 		// Decommission: stop the departed backend's replication stream.
 		rt.postJSONMethod(r.Context(), http.MethodPut, url+"/v1/replication/target", //nocmapvet:allow blockingunderlock elasticMu intentionally serializes membership changes end-to-end; docs/STATIC_ANALYSIS.md#baselines
@@ -205,6 +187,14 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	rt.pushReplicationTargets(r.Context(), next) //nocmapvet:allow blockingunderlock elasticMu intentionally serializes membership changes end-to-end; docs/STATIC_ANALYSIS.md#baselines
 	writeJSON(w, http.StatusOK, ElasticResponse{
 		Backends: append([]string(nil), next.backends...), Migrated: migrated})
+}
+
+// opKey is the JobKey a job or cache op carries, "" for neither.
+func opKey(op store.Op) string {
+	if op.Rec != nil {
+		return op.Rec.Key
+	}
+	return op.Key
 }
 
 // rebuildTopology derives the topology for a new membership set,

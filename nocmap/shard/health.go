@@ -189,17 +189,12 @@ func (rt *Router) reconcileRejoin(ctx context.Context, topo *topology, i int) {
 	}
 	merged := false
 	for _, h := range holders {
-		recs, err := rt.fetchRecords(ctx, topo.backends[h], prefix.prefix)
-		if err != nil {
-			continue
-		}
-		if len(recs.Records) == 0 && len(recs.Cache) == 0 {
+		batch, err := rt.fetchRecords(ctx, topo.backends[h], prefix.prefix)
+		if err != nil || len(batch.Ops) == 0 {
 			continue
 		}
 		var resp server.ReconcileResponse
-		err = rt.postJSON(ctx, topo.backends[i]+"/v1/reconcile",
-			server.ReconcileRequest{Records: recs.Records, Cache: recs.Cache}, &resp)
-		if err != nil {
+		if rt.postJSON(ctx, topo.backends[i]+"/v1/reconcile", batch, &resp) != nil {
 			continue
 		}
 		merged = true
@@ -283,7 +278,7 @@ func (rt *Router) pushReplicationTargets(ctx context.Context, topo *topology) {
 // fetchRecords pulls a backend's records (and cache) for one ID prefix
 // — the transfer half of anti-entropy and migration. Idempotent GET,
 // so it gets the retry budget.
-func (rt *Router) fetchRecords(ctx context.Context, base, prefix string) (*server.RecordsResponse, error) {
+func (rt *Router) fetchRecords(ctx context.Context, base, prefix string) (*server.RecordBatch, error) {
 	url := base + "/v1/records"
 	if prefix != "" {
 		url += "?prefix=" + prefix
@@ -296,7 +291,7 @@ func (rt *Router) fetchRecords(ctx context.Context, base, prefix string) (*serve
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shard: %s answered HTTP %d", url, resp.StatusCode)
 	}
-	var out server.RecordsResponse
+	var out server.RecordBatch
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -713,29 +714,20 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
+// addStats sums b into a: every numeric field adds and every bool
+// ORs. ReplicaTargets, a per-backend list, stays in the shard rows.
 func addStats(a, b server.Stats) server.Stats {
-	a.Submitted += b.Submitted
-	a.Solved += b.Solved
-	a.Failed += b.Failed
-	a.Cancelled += b.Cancelled
-	a.CacheHits += b.CacheHits
-	a.Coalesced += b.Coalesced
-	a.Recovered += b.Recovered
-	a.Restored += b.Restored
-	a.StoreErrors += b.StoreErrors
-	a.Replicated += b.Replicated
-	a.ReplicationPending += b.ReplicationPending
-	a.ReplicationLag += b.ReplicationLag
-	a.ReplicationStalls += b.ReplicationStalls
-	a.ReplicationStalled = a.ReplicationStalled || b.ReplicationStalled
-	a.DurableAcks += b.DurableAcks
-	a.DurableAcksDegraded += b.DurableAcksDegraded
-	a.Replicas += b.Replicas
-	a.Promoted += b.Promoted
-	a.Reconciled += b.Reconciled
-	a.QueueLen += b.QueueLen
-	a.Running += b.Running
-	a.CacheLen += b.CacheLen
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := range av.NumField() {
+		switch f, g := av.Field(i), bv.Field(i); {
+		case f.CanInt():
+			f.SetInt(f.Int() + g.Int())
+		case f.CanUint():
+			f.SetUint(f.Uint() + g.Uint())
+		case f.Kind() == reflect.Bool:
+			f.SetBool(f.Bool() || g.Bool())
+		}
+	}
 	return a
 }
 
