@@ -57,7 +57,6 @@ func main() {
 	durableAckWait := flag.Duration("durable-ack-wait", 0, "how long a durability=replicated submission waits for a follower ack before degrading to async (0: 2s default)")
 	storeFault := flag.String("store-fault", "", `fault-inject the job store, e.g. "fail-every=100,latency=2ms,torn=1" (chaos testing; requires -store)`)
 	storeQueue := flag.Int("store-queue", 4096, "store ops awaiting their fsync before submissions are rejected with 429")
-	storeCompactOps := flag.Int("store-compact-ops", 0, "WAL ops before the store rotates segments and compacts off the write path (0: default 1024)")
 	storeCompactBytes := flag.Int64("store-compact-bytes", 0, "WAL bytes before the store compacts regardless of op count (0: default 256MiB)")
 	flag.Parse()
 
@@ -77,10 +76,7 @@ func main() {
 	}
 	cfg.DurableAckWait = *durableAckWait
 	if *storeDir != "" {
-		fs, err := store.OpenConfig(*storeDir, store.FileConfig{
-			CompactOps:   *storeCompactOps,
-			CompactBytes: *storeCompactBytes,
-		})
+		fs, err := store.OpenConfig(*storeDir, store.FileConfig{CompactBytes: *storeCompactBytes})
 		if err != nil {
 			log.Fatalf("nocmapd: %v", err)
 		}

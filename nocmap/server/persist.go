@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -131,9 +130,17 @@ func (s *Server) replay() error {
 	// Terminal history replays in terminal-transition order — the order
 	// the live server evicted by — never submission/insertion order.
 	sort.SliceStable(terminal, func(i, k int) bool { return terminal[i].Seq < terminal[k].Seq })
+	// The one place a job finishes outside finishLocked: a restored
+	// outcome keeps its stored seq (follower watermarks compare seqs)
+	// and is already persisted.
 	for _, rec := range terminal {
-		j := finishedJob(rec)
-		j.seq = rec.Seq
+		j := newJob(rec.Key, nil, nil, SolveSpec{})
+		j.id, j.seq = rec.ID, rec.Seq
+		j.cacheHit, j.coalesced = rec.CacheHit, rec.Coalesced
+		j.state, j.result, j.errPay = rec.State, rec.Result, errorOf(rec)
+		j.finished = true
+		j.cancel()
+		close(j.done)
 		s.jobs[j.id] = j
 		s.doneOrder = append(s.doneOrder, j.id)
 		if rec.Seq > s.termSeq {
@@ -181,26 +188,6 @@ func (s *Server) replay() error {
 	return nil
 }
 
-// finishedJob builds a finished job from a terminal record: the status
-// (state, flags, result, error) answers byte-identical to the one the
-// record was taken from. The caller sets seq and enrolls the job.
-func finishedJob(rec store.JobRecord) *job {
-	j := &job{
-		id:        rec.ID,
-		key:       rec.Key,
-		state:     rec.State,
-		cacheHit:  rec.CacheHit,
-		coalesced: rec.Coalesced,
-		result:    rec.Result,
-		errPay:    errorOf(rec),
-		finished:  true,
-		done:      make(chan struct{}),
-		subs:      make(map[chan JobEvent]struct{}),
-	}
-	close(j.done)
-	return j
-}
-
 // errorOf decodes a record's persisted error payload; nil when the
 // record carries none.
 func errorOf(rec store.JobRecord) *ErrorPayload {
@@ -217,18 +204,12 @@ func errorOf(rec store.JobRecord) *ErrorPayload {
 // recoverLive re-admits one interrupted job under its original ID.
 // Callers hold s.mu.
 func (s *Server) recoverLive(rec store.JobRecord) {
-	j := &job{
-		id:    rec.ID,
-		canon: rec.Problem,
-		done:  make(chan struct{}),
-		subs:  make(map[chan JobEvent]struct{}),
-	}
-	j.ctx, j.cancel = context.WithCancel(context.Background())
+	j := newJob("", nil, rec.Problem, SolveSpec{})
+	j.id = rec.ID
 	s.jobs[j.id] = j
 
 	fail := func(err error) {
-		j.cancel()
-		s.finishLocked(j, StateFailed, nil, errorPayload(err))
+		s.finishLocked(j, StateFailed, nil, errorPayload(err), &s.stats.Failed)
 	}
 	var p nocmap.Problem
 	if err := json.Unmarshal(rec.Problem, &p); err != nil {

@@ -741,31 +741,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PromoteResponse{Promoted: promoted})
 }
 
-// installTerminalLocked installs a foreign terminal record as a local
-// finished job: byte-identical status (state, flags, result, error)
-// under the original ID, enrolled in retention and persisted like any
-// local job. Clean results also warm the local result cache, so future
-// submissions of the same key served here hit immediately. Callers
-// hold s.mu.
-func (s *Server) installTerminalLocked(rec store.JobRecord) {
-	j := finishedJob(rec)
-	s.jobs[j.id] = j
-	s.termSeq++
-	j.seq = s.termSeq
-	s.persistJob(j)
-	s.retainLocked(j)
-	s.warmCacheLocked(rec)
-}
-
-// warmCacheLocked adds a done record's clean result to the result
-// cache. Callers hold s.mu.
-func (s *Server) warmCacheLocked(rec store.JobRecord) {
-	if rec.State == StateDone && rec.Key != "" && len(rec.Result) > 0 {
-		s.cache.add(rec.Key, rec.Result)
-		s.persistCachePut(rec.Key, rec.Result)
-	}
-}
-
 // handleReconcile is POST /v1/reconcile: adopt the job records and
 // cache entries of a batch pushed by the router — the anti-entropy
 // sweep back onto a rejoined primary, or a key-range migration during
@@ -802,34 +777,34 @@ func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 }
 
 // adoptRecordLocked folds one foreign record into local state using
-// terminal-beats-live, for promotion and reconcile alike: a terminal
-// record overrides a local queued or running job with the same ID (the
-// local run is cancelled and the outcome installed byte-identical); a
-// terminal local job is never overwritten; a record for an unknown ID
-// is installed if terminal and re-enqueued under its ID if live. It
-// reports whether anything changed. Callers hold s.mu.
+// terminal-beats-live, for promotion and reconcile alike: a live record
+// for an unknown ID re-runs here under its ID; a terminal record
+// becomes the outcome of a new local job, or of a local queued or
+// running job with its ID (whose run is cancelled), byte-identical
+// flags included, and a clean result warms the result cache. A
+// terminal local job is never overwritten, and a live record for a
+// live local job changes nothing: our own run finishes it. It reports
+// whether anything changed. Callers hold s.mu.
 func (s *Server) adoptRecordLocked(rec store.JobRecord) bool {
-	local, ok := s.jobs[rec.ID]
+	j, ok := s.jobs[rec.ID]
 	switch {
-	case ok && local.finished:
+	case ok && (j.finished || !store.Terminal(rec.State)):
 		return false
-	case ok && store.Terminal(rec.State):
-		if local.state == StateQueued {
-			s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == local })
-		}
-		local.cacheHit, local.coalesced = rec.CacheHit, rec.Coalesced
-		s.finishWithLocked(local, rec.State, rec.Result, errorOf(rec), false)
-		s.warmCacheLocked(rec)
+	case !store.Terminal(rec.State):
+		s.recoverLive(rec)
 		return true
-	case ok:
-		return false // both live: our own run will finish it
-	case store.Terminal(rec.State):
-		s.installTerminalLocked(rec)
-		return true
-	default:
-		s.recoverLive(rec) // a migrated live job re-runs here
-		return true
+	case !ok:
+		j = newJob(rec.Key, nil, nil, SolveSpec{})
+		j.id = rec.ID
+		s.jobs[j.id] = j
 	}
+	j.cacheHit, j.coalesced = rec.CacheHit, rec.Coalesced
+	s.finishLocked(j, rec.State, rec.Result, errorOf(rec), nil)
+	if rec.State == StateDone && rec.Key != "" && len(rec.Result) > 0 {
+		s.cache.add(rec.Key, rec.Result)
+		s.persistCachePut(rec.Key, rec.Result)
+	}
+	return true
 }
 
 // handleRecords is GET /v1/records[?prefix=s0-]: a batch of this

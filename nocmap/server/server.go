@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -286,11 +287,13 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	for _, j := range s.queue {
-		s.finishLocked(j, StateCancelled, nil,
-			&ErrorPayload{Code: CodeShuttingDown, Message: "server shutting down"})
-	}
+	// Taken aside first: finishLocked removes a queued job from s.queue.
+	queued := s.queue
 	s.queue = nil
+	for _, j := range queued {
+		s.finishLocked(j, StateCancelled, nil,
+			&ErrorPayload{Code: CodeShuttingDown, Message: "server shutting down"}, &s.stats.Cancelled)
+	}
 	for _, j := range s.jobs {
 		if !j.finished {
 			j.cancel()
@@ -366,8 +369,10 @@ type submitError struct {
 	payload *ErrorPayload
 }
 
-// newJob builds an unregistered job for a submission. p and canon are
-// nil only for a job admitted straight from the result cache.
+// newJob builds an unregistered job, the one way every job is built:
+// submissions, memo hits, replayed and adopted records. p and canon are
+// nil for a job that will never run (a cache answer, a restored or
+// adopted outcome).
 func newJob(key string, p *nocmap.Problem, canon []byte, spec SolveSpec) *job {
 	j := &job{
 		key:     key,
@@ -438,7 +443,8 @@ func (s *Server) placeLocked(key string) (json.RawMessage, *job) {
 // records all enter here. Callers hold s.mu.
 func (s *Server) admitLocked(j *job, cached json.RawMessage, leader *job) {
 	if cached != nil {
-		s.finishCachedLocked(j, cached)
+		j.cacheHit = true
+		s.finishLocked(j, StateDone, cached, nil, &s.stats.CacheHits)
 		return
 	}
 	if leader != nil {
@@ -677,25 +683,6 @@ func (s *Server) countDurable(acked bool) {
 	s.mu.Unlock()
 }
 
-// finishCachedLocked completes a job straight from the result cache:
-// terminal done, counted as a cache hit only (never a solve — nothing
-// ran). Shared by live submissions and restart recovery so the stats
-// cannot drift between the two paths. Callers hold s.mu.
-func (s *Server) finishCachedLocked(j *job, cached json.RawMessage) {
-	j.state = StateDone
-	j.finished = true
-	j.cacheHit = true
-	j.result = cached
-	j.cancel() // nothing will run; release the context
-	close(j.done)
-	s.termSeq++
-	j.seq = s.termSeq
-	s.persistJob(j)
-	j.problem, j.canon = nil, nil
-	s.retainLocked(j)
-	s.stats.CacheHits++
-}
-
 // retainLocked enrolls a finished job in the bounded retention window,
 // evicting the oldest finished statuses beyond Config.Retention so a
 // long-running server's job index cannot grow without bound. doneOrder
@@ -757,68 +744,42 @@ func (s *Server) abandon(j *job) {
 }
 
 func (s *Server) cancelLocked(j *job) {
+	switch {
+	case j.finished:
+	case j.leader != nil || j.state == StateQueued:
+		s.finishLocked(j, StateCancelled, nil,
+			&ErrorPayload{Code: CodeCancelled, Message: "job cancelled"}, &s.stats.Cancelled)
+	default:
+		j.cancel() // running: the solver unwinds, and solve() finishes it
+	}
+}
+
+// finishLocked is a job's one terminal transition. It detaches the job
+// from its leader or from the queue, records the outcome, counts it in
+// *count (nil: an adopted outcome, which its handler counts as promoted
+// or reconciled), mints its terminal seq, persists it, enrolls it in
+// retention and wakes its waiters, then finishes its coalesced
+// followers the same way. Callers hold s.mu.
+func (s *Server) finishLocked(j *job, state string, result json.RawMessage, errPay *ErrorPayload, count *uint64) {
 	if j.finished {
 		return
 	}
-	if j.leader != nil {
-		lead := j.leader
-		for i, f := range lead.followers {
-			if f == j {
-				lead.followers = append(lead.followers[:i], lead.followers[i+1:]...)
-				break
-			}
+	if lead := j.leader; lead != nil {
+		lead.followers = slices.DeleteFunc(lead.followers, func(f *job) bool { return f == j })
+		j.leader = nil
+	} else if s.leaders[j.key] == j {
+		delete(s.leaders, j.key)
+		if j.state == StateQueued {
+			s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == j })
 		}
-		s.finishLocked(j, StateCancelled, nil,
-			&ErrorPayload{Code: CodeCancelled, Message: "job cancelled"})
-		return
-	}
-	if j.state == StateQueued {
-		for i, q := range s.queue {
-			if q == j {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		s.finishLocked(j, StateCancelled, nil,
-			&ErrorPayload{Code: CodeCancelled, Message: "job cancelled"})
-		return
-	}
-	// Running: the solver unwinds, finish happens in solve().
-	j.cancel()
-}
-
-// finishLocked records a job's outcome, propagates it to coalesced
-// followers and wakes waiters. Callers hold s.mu.
-func (s *Server) finishLocked(j *job, state string, result json.RawMessage, errPay *ErrorPayload) {
-	s.finishWithLocked(j, state, result, errPay, true)
-}
-
-// finishWithLocked is finishLocked with the per-state counters
-// optional: reconcile adoption installs an outcome another backend
-// already counted as solved/failed/cancelled, so it counts Reconciled
-// instead (at the call site) and passes countStats=false. Callers hold
-// s.mu.
-func (s *Server) finishWithLocked(j *job, state string, result json.RawMessage, errPay *ErrorPayload, countStats bool) {
-	if j.finished {
-		return
 	}
 	j.state = state
 	j.result = result
 	j.errPay = errPay
 	j.finished = true
 	j.cancel() // release the context's resources
-	if s.leaders[j.key] == j {
-		delete(s.leaders, j.key)
-	}
-	if countStats {
-		switch state {
-		case StateCancelled:
-			s.stats.Cancelled++
-		case StateFailed:
-			s.stats.Failed++
-		case StateDone:
-			s.stats.Solved++
-		}
+	if count != nil {
+		*count++
 	}
 	s.termSeq++
 	j.seq = s.termSeq
@@ -826,11 +787,12 @@ func (s *Server) finishWithLocked(j *job, state string, result json.RawMessage, 
 	j.problem, j.canon = nil, nil
 	s.retainLocked(j)
 	close(j.done)
-	for _, f := range j.followers {
-		f.leader = nil
-		s.finishWithLocked(f, state, result, errPay, countStats)
-	}
+	followers := j.followers
 	j.followers = nil
+	for _, f := range followers {
+		f.leader = nil
+		s.finishLocked(f, state, result, errPay, count)
+	}
 }
 
 // worker is one pool goroutine: it pops the head of the queue and
@@ -892,14 +854,14 @@ func (s *Server) solve(j *job) {
 	case err == nil:
 		s.cache.add(j.key, raw)
 		s.persistCachePut(j.key, raw)
-		s.finishLocked(j, StateDone, raw, nil)
+		s.finishLocked(j, StateDone, raw, nil, &s.stats.Solved)
 	case j.ctx.Err() != nil:
 		// Cancelled mid-solve: the partial result (Result.Partial) rides
 		// along when the algorithm salvaged one.
 		s.finishLocked(j, StateCancelled, raw,
-			&ErrorPayload{Code: CodeCancelled, Message: err.Error()})
+			&ErrorPayload{Code: CodeCancelled, Message: err.Error()}, &s.stats.Cancelled)
 	default:
-		s.finishLocked(j, StateFailed, raw, errorPayload(err))
+		s.finishLocked(j, StateFailed, raw, errorPayload(err), &s.stats.Failed)
 	}
 	s.mu.Unlock()
 }

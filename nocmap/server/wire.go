@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/nocmap"
+	"repro/nocmap/store"
 )
 
 // SolveSpec is the wire form of a solve's options: the subset of
@@ -240,11 +241,11 @@ type Info struct {
 
 // Job states, in lifecycle order.
 const (
-	StateQueued    = "queued"
-	StateRunning   = "running"
-	StateDone      = "done"
-	StateFailed    = "failed"
-	StateCancelled = "cancelled"
+	StateQueued    = store.StateQueued
+	StateRunning   = store.StateRunning
+	StateDone      = store.StateDone
+	StateFailed    = store.StateFailed
+	StateCancelled = store.StateCancelled
 )
 
 // JobStatus is the wire form of a job: its identity, where it is in the
