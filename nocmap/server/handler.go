@@ -149,9 +149,10 @@ var errBodyTooLarge = &http.MaxBytesError{Limit: MaxBodyBytes}
 // the memo knows is answered from the result cache without being
 // decoded while its key is still cached; every other body is parsed,
 // validated and profiled by ParseSubmit, then admitted by submit, and
-// remembered when that ends in a cache hit. A false return means the
-// error response was already written.
-func (s *Server) acceptSubmit(w http.ResponseWriter, r *http.Request) (*job, bool) {
+// remembered when that ends in a cache hit. syncSolve marks a
+// POST /v1/solve submission, whose live record is not replicated. A
+// false return means the error response was already written.
+func (s *Server) acceptSubmit(w http.ResponseWriter, r *http.Request, syncSolve bool) (*job, bool) {
 	body, serr := ReadSubmitBody(w, r)
 	if serr != nil {
 		writeError(w, serr.Status, serr.Payload)
@@ -173,7 +174,7 @@ func (s *Server) acceptSubmit(w http.ResponseWriter, r *http.Request) (*job, boo
 		writeError(w, serr.Status, serr.Payload)
 		return nil, false
 	}
-	j, hit, jerr := s.submit(p, canon, s.cfg.Profile.Apply(spec))
+	j, hit, jerr := s.submit(p, canon, s.cfg.Profile.Apply(spec), syncSolve)
 	if jerr != nil {
 		writeError(w, jerr.status, jerr.payload)
 		return nil, false
@@ -199,7 +200,7 @@ func errorPayloadForSpec(err error) *ErrorPayload {
 // acknowledged the job's record (bounded; degrades to async with the
 // X-Nocmap-Durability header saying so).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.acceptSubmit(w, r)
+	j, ok := s.acceptSubmit(w, r, false)
 	if !ok {
 		return
 	}
@@ -222,7 +223,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // cancels the job (a coalesced follower detaches without disturbing the
 // shared computation).
 func (s *Server) handleSolveSync(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.acceptSubmit(w, r)
+	j, ok := s.acceptSubmit(w, r, true)
 	if !ok {
 		return
 	}

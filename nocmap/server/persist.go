@@ -45,16 +45,31 @@ func (s *Server) jobOp(j *job) store.Op {
 // persistJob mirrors a job's current state everywhere it needs to
 // survive: the persistence outbox toward the local store (if one is
 // configured; flusher-side failures are counted, not fatal — the server
-// keeps serving with best-effort durability) and the ring successor's
-// replica namespace (if a replication target is set; the push is async,
-// from memory, so store faults cannot poison it). Neither path blocks:
-// the record becomes durable when the flusher's batch carrying it is
-// fsynced, which is what syncStore and the durability classes wait on.
-// Both share one op: neither writes to its record. Callers hold s.mu.
+// keeps serving with best-effort durability) and, when the record
+// replicates, the ring successor's replica namespace (if a replication
+// target is set; the push is async, from memory, so store faults cannot
+// poison it). Neither path blocks: the record becomes durable when the
+// flusher's batch carrying it is fsynced, which is what syncStore and
+// the durability classes wait on. Both share one op: neither writes to
+// its record. Callers hold s.mu.
 func (s *Server) persistJob(j *job) {
 	op := s.jobOp(j)
 	s.enqueueOpLocked(op)
-	s.rep.enqueue(op)
+	if j.replicates() {
+		s.rep.enqueue(op)
+	}
+}
+
+// replicates reports whether the job's current record goes to the
+// replication targets: an outcome always does, and a live record does
+// unless the job is a synchronous solve. A sync solve's client learns
+// its ID only with the outcome, so a promoted live replica of it could
+// only re-run work nobody can ask for (the router retries the body on
+// the successor instead), and its sync ack waits for the terminal
+// record. A recovered or adopted live job ships: a client may hold its
+// ID. The local store gets every record either way. Callers hold s.mu.
+func (j *job) replicates() bool {
+	return j.finished || !j.syncSolve
 }
 
 // persistCachePut mirrors a result-cache insert into the store. With

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,7 +21,12 @@ import (
 type holdAlgo struct {
 	up      chan struct{}
 	release chan struct{}
+	once    sync.Once
 }
+
+// free releases the hold's jobs; it may be called more than once, so
+// a test can both free a hold and defer freeing it on failure.
+func (h *holdAlgo) free() { h.once.Do(func() { close(h.release) }) }
 
 func registerHold(name string) *holdAlgo {
 	h := &holdAlgo{up: make(chan struct{}, 16), release: make(chan struct{})}

@@ -19,20 +19,22 @@ import (
 	"repro/nocmap/store"
 )
 
-// Ring replication: every job record (and every terminal result) is
-// asynchronously pushed from its owning backend to its replication
-// target set — the backend's first R ring successors, the followers —
-// over POST /v1/replicate. Each follower keeps the records in its job
-// store's replica namespace, apart from its own jobs, so replication
-// survives follower restarts too. When the shard router declares the
-// primary down it promotes the surviving follower with the highest
-// applied terminal seq: terminal replicas are installed as queryable
-// local jobs (answering byte-identical to the lost primary, flags
-// included) and live replicas re-run under their original IDs. When the
-// primary rejoins, the router runs an anti-entropy sweep — every
-// holder's outcomes for the primary's jobs are pushed back over
-// POST /v1/reconcile, where terminal-beats-live reconciliation adopts
-// them.
+// Ring replication: job records are asynchronously pushed from their
+// owning backend to its replication target set — the backend's first R
+// ring successors, the followers — over POST /v1/replicate. Every
+// outcome ships, and so does every live record a client can name; a
+// POST /v1/solve job ships only its outcome, since its client learns
+// its ID with the answer (see job.replicates). Each follower keeps the
+// records in its job store's replica namespace, apart from its own
+// jobs, so replication survives follower restarts too. When the shard
+// router declares the primary down it promotes the surviving follower
+// with the highest applied terminal seq: terminal replicas are
+// installed as queryable local jobs (answering byte-identical to the
+// lost primary, flags included) and live replicas re-run under their
+// original IDs. When the primary rejoins, the router runs an
+// anti-entropy sweep — every holder's outcomes for the primary's jobs
+// are pushed back over POST /v1/reconcile, where terminal-beats-live
+// reconciliation adopts them.
 //
 // Each follower acknowledges batches with its applied high terminal seq
 // (the acked watermark); the primary tracks the watermark per target,
@@ -541,12 +543,14 @@ func (s *Server) SetReplicaTargets(urls []string) {
 	}
 }
 
-// seedReplicationToLocked enqueues every current job record to one
-// target, converging that follower's replica namespace with our state.
-// Callers hold s.mu.
+// seedReplicationToLocked enqueues every current job record that
+// replicates to one target, converging that follower's replica
+// namespace with our state. Callers hold s.mu.
 func (s *Server) seedReplicationToLocked(target string) {
 	for _, j := range s.jobsBySeqLocked() {
-		s.rep.enqueueTo(target, s.jobOp(j))
+		if j.replicates() {
+			s.rep.enqueueTo(target, s.jobOp(j))
+		}
 	}
 }
 
@@ -568,14 +572,14 @@ func (s *Server) jobsBySeqLocked() []*job {
 
 // reseedAbove re-sends to one target every record a watermark
 // regression proved it lost: terminal records above fromSeq plus every
-// live job (live records carry seq 0, so a restarted follower always
-// needs them again). Runs from the stream's push goroutine via the
-// onRegress hook.
+// live job that replicates (live records carry seq 0, so a restarted
+// follower always needs them again). Runs from the stream's push
+// goroutine via the onRegress hook.
 func (s *Server) reseedAbove(target string, fromSeq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range s.jobsBySeqLocked() {
-		if j.seq > fromSeq || !j.finished {
+		if j.replicates() && (j.seq > fromSeq || !j.finished) {
 			s.rep.enqueueTo(target, s.jobOp(j))
 		}
 	}

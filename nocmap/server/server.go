@@ -49,8 +49,9 @@ type Config struct {
 	// distinct prefix so the router can route an ID back to its owner.
 	IDPrefix string
 	// ReplicaTargets, when non-empty, are the base URLs of this
-	// instance's ring successors: every job record and terminal result
-	// is asynchronously pushed to each over POST /v1/replicate, so a
+	// instance's ring successors: every terminal record, and the live
+	// record of every job not submitted through POST /v1/solve, is
+	// asynchronously pushed to each over POST /v1/replicate, so a
 	// successor can answer for this instance after a failure. A shard
 	// router normally manages the set at runtime via
 	// PUT /v1/replication/target; the config field seeds standalone
@@ -112,6 +113,12 @@ type job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// syncSolve marks a POST /v1/solve submission. No client holds its
+	// ID before it finishes, so its live record stays off the
+	// replication stream (see replicates); a job from any other source
+	// leaves it false. Set once, before the job is admitted.
+	syncSolve bool
 
 	// Guarded by Server.mu.
 	state     string
@@ -326,6 +333,7 @@ func (s *Server) Stats() Stats {
 		st.Compactions = cs.Compactions
 		st.CompactRunning = cs.Running
 		st.StoreSegments = cs.Segments
+		st.StoreWALBytes = fs.WALBytes()
 	}
 	// The replication breakdown comes from the streams' own locks,
 	// outside mu (mu nests above them, never below).
@@ -388,10 +396,12 @@ func newJob(key string, p *nocmap.Problem, canon []byte, spec SolveSpec) *job {
 
 // submit validates nothing (the handler already parsed and normalized);
 // it mints the job's ID and admits it, and reports whether the result
-// cache answered it. Only a job that would need a queue slot can be
-// turned away by a full queue.
-func (s *Server) submit(p *nocmap.Problem, problemJSON []byte, spec SolveSpec) (*job, bool, *submitError) {
+// cache answered it. syncSolve marks a POST /v1/solve submission. Only
+// a job that would need a queue slot can be turned away by a full
+// queue.
+func (s *Server) submit(p *nocmap.Problem, problemJSON []byte, spec SolveSpec, syncSolve bool) (*job, bool, *submitError) {
 	j := newJob(JobKey(problemJSON, spec), p, problemJSON, spec)
+	j.syncSolve = syncSolve
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if serr := s.admissionErrorLocked(); serr != nil {
@@ -501,6 +511,7 @@ func (s *Server) persistLoop() {
 
 		s.mu.Lock()
 		s.outFlushed += uint64(len(batch))
+		s.stats.StoreBatches++
 		rest := s.outWaiters[:0]
 		for _, w := range s.outWaiters {
 			if w.target <= s.outFlushed {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -111,5 +112,34 @@ func TestSolvedResultWrittenOnce(t *testing.T) {
 		if n := bytes.Count(wal, res); n != 1 {
 			t.Fatalf("job %d's result is in the WAL %d times, want once: %s", i, n, res)
 		}
+	}
+}
+
+// TestStoreWriteCounters: one sync solve on a lone durable server
+// moves store_batches, and store_wal_bytes reads the WAL's size.
+func TestStoreWriteCounters(t *testing.T) {
+	h, settle := walServer(t, Config{Pool: 1, QueueSize: 8, CacheSize: 8})
+	stats := func() Stats {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var st Stats
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if st := stats(); st.StoreBatches != 0 || st.StoreWALBytes != 0 {
+		t.Fatalf("an idle server reads store_batches %d, store_wal_bytes %d; want 0, 0", st.StoreBatches, st.StoreWALBytes)
+	}
+	solved(t, h, []byte(`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":100}]},`+
+		`"topology":{"kind":"mesh","w":2,"h":2,"link_bw":1000}}}`))
+	wal := settle()
+	st := stats()
+	if st.StoreBatches == 0 {
+		t.Fatal("store_batches did not move")
+	}
+	if st.StoreWALBytes != uint64(len(wal)) {
+		t.Fatalf("store_wal_bytes = %d, the WAL holds %d bytes", st.StoreWALBytes, len(wal))
 	}
 }

@@ -367,6 +367,15 @@ type Stats struct {
 	Compactions    uint64 `json:"compactions,omitempty"`
 	CompactRunning bool   `json:"compact_running,omitempty"`
 	StoreSegments  int    `json:"segments,omitempty"`
+	// StoreBatches counts the write-behind batches the flusher has
+	// settled, one Store.ApplyOps call each (one fsync on a file store,
+	// or a failed batch and its op-by-op retry). StoreWALBytes counts
+	// the bytes the backing FileStore appended to its WAL (only set
+	// with a file store). Both only grow, so their deltas over a window
+	// divided by the jobs finished in it give batches and WAL bytes per
+	// job.
+	StoreBatches  uint64 `json:"store_batches"`
+	StoreWALBytes uint64 `json:"store_wal_bytes,omitempty"`
 	// Replicated counts record pushes (and deletion pushes) the
 	// replication followers acknowledged, summed over the target set;
 	// ReplicationPending is how many are queued or in flight. Pending

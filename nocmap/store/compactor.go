@@ -49,6 +49,16 @@ func (fs *FileStore) CompactionStats() CompactionStats {
 	}
 }
 
+// WALBytes returns the bytes ApplyOps has appended to the WAL and
+// fsynced since OpenConfig: a monotone counter of the store's write
+// volume, which compaction does not reset. A batch rolled back on a
+// write or sync error counts nothing.
+func (fs *FileStore) WALBytes() uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.walBytes
+}
+
 // compactor is the dedicated goroutine that folds sealed WAL segments
 // into the snapshot, strictly off the append path: appends and
 // ApplyOps batches rotate to a fresh segment (a couple of metadata

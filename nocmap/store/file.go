@@ -33,6 +33,7 @@ type FileStore struct {
 	walSeq     uint64   // active segment's sequence number
 	activeOps  int      // whole-line appends in the active segment
 	activeSize int64    // end offset of the last fully appended line
+	walBytes   uint64   // bytes ApplyOps appended and fsynced since OpenConfig
 	closed     bool
 	roCause    string // non-empty: the store refused further writes (see readOnlyLocked)
 	state      memState
@@ -348,6 +349,7 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	}
 	fs.activeSize += int64(len(buf))
 	fs.activeOps += len(ops)
+	fs.walBytes += uint64(len(buf))
 	var firstErr error
 	for i, op := range ops {
 		if err := fs.applyLocked(line{Op: op, Ref: refs[i]}); err != nil && firstErr == nil {

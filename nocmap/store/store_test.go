@@ -461,6 +461,7 @@ func TestFileStoreCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	wrote := s.WALBytes()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -493,6 +494,9 @@ func TestFileStoreCompaction(t *testing.T) {
 	if activeSize > 64<<10 {
 		t.Fatalf("wal did not shrink at compaction: %d bytes across %d segments", activeSize, len(segs))
 	}
+	if wrote <= uint64(activeSize) {
+		t.Fatalf("WALBytes = %d after compaction, the WAL holds %d: compaction must not reset the counter", wrote, activeSize)
+	}
 
 	again, err := store.OpenConfig(dir, store.FileConfig{})
 	if err != nil {
@@ -505,6 +509,31 @@ func TestFileStoreCompaction(t *testing.T) {
 	}
 	if len(snap.Jobs) != 1 || !bytes.Equal(snap.Jobs[0].Result, last.Result) {
 		t.Fatalf("compacted state lost the latest record: %+v", snap.Jobs)
+	}
+}
+
+// TestWALBytesCountsAppends: WALBytes is the WAL's size while nothing
+// compacts, and a batch refused before the write adds nothing.
+func TestWALBytesCountsAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.OpenConfig(dir, store.FileConfig{CompactOps: 1 << 30, CompactBytes: 1 << 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.ApplyOps([]store.Op{store.PutJob(rec("job-1", store.StateQueued, 0)),
+		store.PutJob(rec("job-1", store.StateDone, 1))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyOps([]store.Op{store.PutJob(store.JobRecord{})}); err == nil {
+		t.Fatal("a job without an ID was accepted")
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "wal.000001.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.WALBytes(); got != uint64(len(wal)) {
+		t.Fatalf("WALBytes = %d, the WAL holds %d bytes", got, len(wal))
 	}
 }
 
