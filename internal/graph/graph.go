@@ -79,6 +79,27 @@ func (g *Digraph) AddEdge(from, to int, w float64) error {
 	return nil
 }
 
+// reserve sizes the edge lists of an edgeless graph for the edges
+// ends lists as (from, to) pairs, so adding them appends in place.
+func (g *Digraph) reserve(ends []int) {
+	if len(ends) == 0 {
+		return
+	}
+	deg := make([]int, 2*g.n) // out-degrees, then in-degrees
+	for i := 0; i < len(ends); i += 2 {
+		deg[ends[i]]++
+		deg[g.n+ends[i+1]]++
+	}
+	slab := make([]Edge, len(ends))
+	for v := 0; v < g.n; v++ {
+		d := deg[v]
+		g.out[v], slab = slab[:0:d], slab[d:]
+		d = deg[g.n+v]
+		g.in[v], slab = slab[:0:d], slab[d:]
+	}
+	g.index = make(map[[2]int]int, len(ends)/2)
+}
+
 // MustAddEdge is AddEdge but panics on error; intended for statically
 // known-good construction such as benchmark graphs.
 func (g *Digraph) MustAddEdge(from, to int, w float64) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire is the JSON form of a core graph: its name, the cores in ID
@@ -49,21 +50,36 @@ func (w Wire) CoreGraph() (*CoreGraph, error) {
 	if name == "" {
 		name = "unnamed"
 	}
-	cg := NewCoreGraph(name)
+	n := len(w.Cores)
+	cg := &CoreGraph{Digraph: &Digraph{}, Name: name, byName: make(map[string]int, n)}
+	cg.Cores, cg.out, cg.in = slices.Grow(cg.Cores, n), slices.Grow(cg.out, n), slices.Grow(cg.in, n)
 	for _, c := range w.Cores {
 		if cg.CoreID(c) >= 0 {
 			return nil, fmt.Errorf("graph: duplicate core %q", c)
 		}
 		cg.AddCore(c)
 	}
-	for _, e := range w.Edges {
+	// Resolve every endpoint first, adding implied cores in the order
+	// Connect would, so each vertex's edge lists are allocated once.
+	ends := make([]int, 2*len(w.Edges))
+	for i, e := range w.Edges {
 		if e.BW <= 0 {
 			return nil, fmt.Errorf("graph: edge %s->%s has non-positive bandwidth %g", e.From, e.To, e.BW)
 		}
 		if e.From == e.To {
 			return nil, fmt.Errorf("graph: self-loop on %q", e.From)
 		}
-		cg.Connect(e.From, e.To, e.BW)
+		for j, c := range [2]string{e.From, e.To} {
+			id := cg.CoreID(c)
+			if id < 0 {
+				id = cg.AddCore(c)
+			}
+			ends[2*i+j] = id
+		}
+	}
+	cg.reserve(ends)
+	for i, e := range w.Edges {
+		cg.MustAddEdge(ends[2*i], ends[2*i+1], e.BW)
 	}
 	return cg, nil
 }

@@ -1,8 +1,10 @@
 package nocmap
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -108,4 +110,59 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if m.CommCost() != res.Cost.Comm {
 		t.Fatalf("revived cost %g != %g", m.CommCost(), res.Cost.Comm)
 	}
+}
+
+// FuzzProblemCodec compares the problem codec's plain-form paths with
+// encoding/json. Wherever readPlainProblem accepts an input,
+// json.Unmarshal accepts it too and decodes the same jsonProblem;
+// wherever appendProblem writes a decoded problem, its bytes are
+// json.Marshal's; and the bytes it writes are always read back by the
+// plain-form reader, so canonical input never takes the slow path.
+func FuzzProblemCodec(f *testing.F) {
+	for _, s := range []string{
+		`{"app":{"name":"t","cores":["a","b"],"edges":[{"from":"a","to":"b","bw":100}]},"topology":{"kind":"mesh","w":2,"h":2,"link_bw":1000}}`,
+		` { "topology" : { "link_bw" : 1E3 , "h" : 2 , "w" : 2 } , "app" : { "edges" : [ ] , "cores" : [ ] } } `,
+		`{"app":{"name":"t","edges":[{"from":"a\"b","to":"c\\d","bw":1}]},"topology":{"w":2,"h":2,"link_bw":10}}`,
+		`{"Problem":{},"PROBLEM":{},"App":{"name":"x"},"TOPOLOGY":{"W":2}}`,
+		`{"app":{"name":"a"},"app":{"cores":["b"]},"topology":{"w":1,"w":2,"h":2,"link_bw":1}}`,
+		`{"app":null,"topology":{"kind":null,"w":2,"h":2,"link_bw":1}}`,
+		`{"topology":{"w":4.0,"h":2,"link_bw":1}}`,
+		`{"topology":{"w":1e400,"h":2,"link_bw":1e400}}`,
+		`{"topology":{"w":-0,"h":-0,"link_bw":-0}}`,
+		`{"app":{"edges":[{"from":"a","to":"b","bw":1e-7},{"from":"b","to":"a","bw":1e21}]},"topology":{"w":2,"h":1,"link_bw":0.000001}}`,
+		`{"app":{"edges":[{"from":"a","to":"b","bw":123456789012345678901234}]},"topology":{"w":2,"h":1,"link_bw":5e-324}}`,
+		`{"topology":{"w":2,"h":1,"link_bw":1}} x`,
+		`{"topology":{"w":2,"h":1,"link_bw":1}}` + "\x00",
+		`{"app":{"cores":["<a>","b&c","é","é"," "]},"topology":{"kind":"torus","w":2,"h":2,"link_bw":1}}`,
+		`{"app":{"cores":["a"]},"topology":{"w":9223372036854775808,"h":01,"link_bw":-}}`,
+		`[]`,
+		`null`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want jsonProblem
+		werr := json.Unmarshal(data, &want)
+		got, ok := readPlainProblem(data)
+		if ok && werr != nil {
+			t.Fatalf("plain reader accepted what json.Unmarshal rejects (%v): %q", werr, data)
+		}
+		if ok && !reflect.DeepEqual(got, want) {
+			t.Fatalf("plain reader decoded %q as\n%#v\nwant\n%#v", data, got, want)
+		}
+		if werr != nil {
+			return
+		}
+		wantB, merr := json.Marshal(want)
+		gotB, eok := appendProblem(nil, &want)
+		if !eok {
+			return
+		}
+		if merr != nil || !bytes.Equal(gotB, wantB) {
+			t.Fatalf("plain encoder wrote\n%s\njson.Marshal wrote (err %v)\n%s", gotB, merr, wantB)
+		}
+		if _, ok := readPlainProblem(gotB); !ok {
+			t.Fatalf("plain reader rejected the plain encoder's bytes %s", gotB)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -19,7 +20,9 @@ import (
 // validated (problem, canonical JSON, spec) triple — never a panic.
 // Accepted submissions must hash deterministically: the canonical form
 // re-parses to the same JobKey, the invariant shard routing and the
-// result cache stand on.
+// result cache stand on. The plain-form reader and the encoding/json
+// path must agree on every body: the same canonical bytes and spec, or
+// the same status and error payload.
 func FuzzParseSubmit(f *testing.F) {
 	f.Add([]byte(`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":100}]},` +
 		`"topology":{"kind":"mesh","w":2,"h":2,"link_bw":1000}},` +
@@ -34,8 +37,15 @@ func FuzzParseSubmit(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{"problem":{"topology":{"kind":"mesh","w":9999999,"h":9999999,"link_bw":1}}}`))
+	for _, b := range plainBoundary {
+		f.Add([]byte(b))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, canon, spec, serr := server.ParseSubmit(data)
+		_, wantCanon, wantSpec, wantErr := server.ParseSubmitJSON(data)
+		if got, want := outcome(canon, spec, serr), outcome(wantCanon, wantSpec, wantErr); got != want {
+			t.Fatalf("plain-form reader answered\n%s\nencoding/json answered\n%s\n(input %q)", got, want, data)
+		}
 		if serr != nil {
 			if serr.Payload == nil || serr.Payload.Code == "" || serr.Status < 400 {
 				t.Fatalf("rejection without a typed payload: %+v (input %q)", serr, data)
@@ -63,6 +73,42 @@ func FuzzParseSubmit(f *testing.F) {
 			t.Fatalf("canonicalization is not a fixed point:\nfirst:  %s\nsecond: %s", canon, canon2)
 		}
 	})
+}
+
+// plainBoundary are submission bodies on either side of the plain form
+// the fast path reads: escapes, case-folded and repeated keys, null,
+// non-integer and out-of-range numbers, negative zero, floats that
+// encode in exponent form, trailing bytes, and names json.Marshal
+// escapes.
+var plainBoundary = []string{
+	`{"problem":{"app":{"name":"e\u0073c","edges":[{"from":"a\"","to":"b\\","bw":1}]},"topology":{"w":2,"h":2,"link_bw":10}}}`,
+	`{"Problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"h":2,"link_bw":10}}}`,
+	`{"PROBLEM":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"h":2,"link_bw":10}},"OPTIONS":{"Algorithm":"pbb"}}`,
+	`{"problem":{"topology":{"w":2}},"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"h":2,"link_bw":10}}}`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"w":3,"h":2,"link_bw":10}},"options":{"workers":1,"workers":2}}`,
+	`{"problem":null,"options":null}`,
+	`{"problem":{"app":{"cores":null,"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"kind":null,"w":2,"h":2,"link_bw":10}}}`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":4.0,"h":2,"link_bw":10}}}`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":1e400,"h":2,"link_bw":1e400}}}`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":-0}]},"topology":{"w":-0,"h":2,"link_bw":-0}},"options":{"bandwidth_cap":-0,"workers":-0}}`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1e-7},{"from":"b","to":"a","bw":1e21}]},"topology":{"w":2,"h":1,"link_bw":1e22}},"options":{"bandwidth_cap":1e-7}}`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"h":1,"link_bw":10}}} x`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"h":1,"link_bw":10}}}` + "\x00",
+	`{"problem":{"app":{"cores":["<a>","b&c","é"],"edges":[{"from":"<a>","to":"é","bw":1}]},"topology":{"w":2,"h":2,"link_bw":10}}}`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"h":1,"link_bw":10}},"options":{"fast_queue":true,"max_queue":9223372036854775808}}`,
+	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"h":1,"link_bw":10}},"options":{"algorithm":"pbb","fast_queue":1,"split":"min-paths"}}`,
+	`{"problem":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}`,
+	`{"problem":17,"extra":true}`,
+}
+
+// outcome renders what ParseSubmit returned for comparison: the
+// canonical bytes and spec, or the status and error payload.
+func outcome(canon []byte, spec server.SolveSpec, serr *server.SubmitError) string {
+	if serr != nil {
+		pay, _ := json.Marshal(serr.Payload)
+		return fmt.Sprintf("%d %s", serr.Status, pay)
+	}
+	return fmt.Sprintf("%s %+v", canon, spec)
 }
 
 // FuzzSubmitTwice pins the submit memo against the parse path: any body

@@ -147,17 +147,29 @@ func (e *SubmitError) Error() string { return e.Payload.Error() }
 // a typed SubmitError. Both the server's handlers and the shard router
 // route through it, which is what guarantees they hash identically.
 func ParseSubmit(body []byte) (*nocmap.Problem, []byte, SolveSpec, *SubmitError) {
-	var req SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, SolveSpec{}, &SubmitError{Status: 400,
-			Payload: &ErrorPayload{Code: CodeBadRequest, Message: "parsing request body: " + err.Error()}}
+	return parseSubmit(body, true)
+}
+
+// parseSubmit is ParseSubmit; plain reads a body in the plain form (see
+// decode.go) without encoding/json, and tests turn it off to compare.
+func parseSubmit(body []byte, plain bool) (*nocmap.Problem, []byte, SolveSpec, *SubmitError) {
+	req, ok := SubmitRequest{}, false
+	if plain {
+		req, ok = readPlainSubmit(body)
+	}
+	if !ok {
+		req = SubmitRequest{}
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, nil, SolveSpec{}, &SubmitError{Status: 400,
+				Payload: &ErrorPayload{Code: CodeBadRequest, Message: "parsing request body: " + err.Error()}}
+		}
 	}
 	if len(req.Problem) == 0 {
 		return nil, nil, SolveSpec{}, &SubmitError{Status: 400,
 			Payload: &ErrorPayload{Code: CodeBadRequest, Message: `missing "problem"`}}
 	}
-	// req.Problem is one JSON value the body decode already validated,
-	// so it goes to the problem decoder without a second validity scan.
+	// req.Problem is one JSON value the body read already validated, so
+	// it goes to the problem decoder without a second validity scan.
 	var p nocmap.Problem
 	if err := p.UnmarshalJSON(req.Problem); err != nil {
 		// Problem construction failed: distinguish malformed JSON from a
