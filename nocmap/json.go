@@ -29,9 +29,7 @@ type jsonTopology struct {
 
 // MarshalJSON serializes the problem as its application graph plus
 // topology spec, in compact form: these bytes are the canonical form
-// every derived hash keys on. They are written by hand, byte-identical
-// to json.Marshal; a string that needs escaping or a non-finite float
-// sends the problem through json.Marshal instead.
+// every derived hash keys on.
 func (p *Problem) MarshalJSON() ([]byte, error) {
 	if p.app == nil || p.topo == nil {
 		return nil, fmt.Errorf("nocmap: marshaling uninitialized problem: %w", ErrNilInput)
@@ -49,6 +47,9 @@ func (p *Problem) MarshalJSON() ([]byte, error) {
 			BW:   bw,
 		},
 	}
+	// The bytes are written by hand, byte-identical to json.Marshal; a
+	// string that needs escaping or a non-finite float sends the
+	// problem through json.Marshal instead.
 	buf := encodeBufs.Get().(*[]byte)
 	b, ok := appendProblem((*buf)[:0], &in)
 	var out []byte
@@ -73,13 +74,13 @@ func (p *Problem) MarshalJSON() ([]byte, error) {
 const MaxWireNodes = 1 << 16
 
 // UnmarshalJSON rebuilds the problem in one decoding pass, re-running
-// the NewProblem validation on the decoded pair. Input in the plain
-// form (see readPlainProblem) is read without encoding/json; anything
-// else goes through json.Unmarshal. Small topologies are interned:
-// every problem decoded (or capped with WithBandwidthCap) onto the
-// same kind, size and link bandwidth shares one immutable Topology and
-// its warm routing caches.
+// the NewProblem validation on the decoded pair. Small topologies are
+// interned: every problem decoded (or capped with WithBandwidthCap) onto
+// the same kind, size and link bandwidth shares one immutable Topology
+// and its warm routing caches.
 func (p *Problem) UnmarshalJSON(data []byte) error {
+	// Input in the plain form is read without encoding/json; anything
+	// else goes through json.Unmarshal.
 	in, ok := readPlainProblem(data)
 	if !ok {
 		in = jsonProblem{}
