@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
+	"strings"
 
 	"repro/nocmap/store"
 )
@@ -112,4 +114,50 @@ func appendJobStatus(dst []byte, st *JobStatus) []byte {
 		dst = appendString(dst, st.Durability)
 	}
 	return append(dst, "}\n"...)
+}
+
+// marshalSpec returns json.Marshal's encoding of s. A bandwidth cap, or
+// a string json.Marshal would escape (it also escapes <, > and &),
+// sends the spec through json.Marshal.
+func marshalSpec(s SolveSpec) ([]byte, error) {
+	plain := func(str string) bool { return plainString(str) && !strings.ContainsAny(str, "<>&") }
+	if s.BandwidthCap != 0 || !plain(s.Algorithm) || !plain(s.Split) || !plain(s.Durability) {
+		return json.Marshal(s)
+	}
+	b := make([]byte, 0, 96)
+	b = append(b, '{')
+	field := func(name string) {
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+	}
+	if s.Algorithm != "" {
+		field(`"algorithm":`)
+		b = appendString(b, s.Algorithm)
+	}
+	if s.Workers != 0 {
+		field(`"workers":`)
+		b = strconv.AppendInt(b, int64(s.Workers), 10)
+	}
+	if s.Split != "" {
+		field(`"split":`)
+		b = appendString(b, s.Split)
+	}
+	if s.FastQueue {
+		field(`"fast_queue":true`)
+	}
+	if s.MaxQueue != 0 {
+		field(`"max_queue":`)
+		b = strconv.AppendInt(b, int64(s.MaxQueue), 10)
+	}
+	if s.MaxExpand != 0 {
+		field(`"max_expand":`)
+		b = strconv.AppendInt(b, int64(s.MaxExpand), 10)
+	}
+	if s.Durability != "" {
+		field(`"durability":`)
+		b = appendString(b, s.Durability)
+	}
+	return append(b, '}'), nil
 }

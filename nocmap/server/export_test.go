@@ -15,3 +15,6 @@ func ReadsPlain(body []byte) bool {
 	_, ok := readPlainSubmit(body)
 	return ok
 }
+
+// MarshalSpec is the spec encoder JobKey and the store records use.
+var MarshalSpec = marshalSpec

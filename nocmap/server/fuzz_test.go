@@ -59,6 +59,7 @@ func FuzzParseSubmit(f *testing.F) {
 		if key == "" {
 			t.Fatal("empty job key")
 		}
+		checkMarshalSpec(t, spec)
 		// The canonical problem form must be self-canonical: feeding it
 		// back through the parser reproduces itself (and therefore the
 		// same key for any fixed options), whatever formatting the
@@ -99,6 +100,17 @@ var plainBoundary = []string{
 	`{"problem":{"app":{"edges":[{"from":"a","to":"b","bw":1}]},"topology":{"w":2,"h":1,"link_bw":10}},"options":{"algorithm":"pbb","fast_queue":1,"split":"min-paths"}}`,
 	`{"problem":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}`,
 	`{"problem":17,"extra":true}`,
+}
+
+// checkMarshalSpec fails unless the hand-written spec encoder writes
+// json.Marshal's bytes for spec.
+func checkMarshalSpec(t *testing.T, spec server.SolveSpec) {
+	t.Helper()
+	got, err := server.MarshalSpec(spec)
+	want, wantErr := json.Marshal(spec)
+	if !bytes.Equal(got, want) || (err == nil) != (wantErr == nil) {
+		t.Fatalf("spec %+v encodes as %s (%v), json.Marshal writes %s (%v)", spec, got, err, want, wantErr)
+	}
 }
 
 // outcome renders what ParseSubmit returned for comparison: the

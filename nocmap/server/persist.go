@@ -35,7 +35,7 @@ func (s *Server) jobOp(j *job) store.Op {
 	}
 	if !store.Terminal(j.state) {
 		rec.Problem = j.canon
-		if raw, err := json.Marshal(j.spec); err == nil {
+		if raw, err := marshalSpec(j.spec); err == nil {
 			rec.Spec = raw
 		}
 	}

@@ -129,3 +129,25 @@ func TestPlainFormBackendAndRouter(t *testing.T) {
 func escaped(s string) bool {
 	return strings.IndexFunc(s, func(r rune) bool { return r == '\\' || r >= 0x80 }) >= 0
 }
+
+// TestMarshalSpec checks the spec encoder against json.Marshal on every
+// field set and unset, and on the values it hands to json.Marshal: a
+// bandwidth cap, names json.Marshal escapes and non-ASCII names.
+func TestMarshalSpec(t *testing.T) {
+	specs := []server.SolveSpec{
+		{},
+		{Algorithm: "nmap-single", Split: server.SplitAllPaths},
+		{Algorithm: "pbb", Workers: -1, Split: server.SplitMinPaths, FastQueue: true,
+			MaxQueue: 7, MaxExpand: -3, Durability: server.DurabilityReplicated},
+		{Workers: 4},
+		{MaxExpand: 1 << 40},
+		{BandwidthCap: 1e-7},
+		{BandwidthCap: 250, Algorithm: "nmap-split"},
+		{Algorithm: "<a>&b"},
+		{Split: "é"},
+		{Durability: "a\"b\\c\n"},
+	}
+	for _, spec := range specs {
+		checkMarshalSpec(t, spec)
+	}
+}

@@ -440,7 +440,7 @@ func JobKey(problemJSON []byte, spec SolveSpec) string {
 	hashed := spec
 	hashed.Workers = 0
 	hashed.Durability = ""
-	optJSON, _ := json.Marshal(hashed)
+	optJSON, _ := marshalSpec(hashed)
 	h := sha256.New()
 	h.Write(problemJSON)
 	h.Write([]byte{0})
